@@ -15,8 +15,13 @@ in its own set, which is what keeps singleton sets from being vacated.
 
 from __future__ import annotations
 
-from .errors import EmptySet, NotADistance
-from .measure import SparseSymmetricMeasure, _check_index, measure_of_sets
+from .errors import EmptySet
+from .measure import (
+    SparseSymmetricMeasure,
+    _check_index,
+    check_distance_values,
+    measure_of_sets,
+)
 
 NEG_INF = float("-inf")
 
@@ -78,12 +83,7 @@ def check_nonnegativity(d: SparseSymmetricMeasure, s, tol: float = 1e-9) -> floa
     distance, hence is nonnegative even when individual values are not.
     Raises if the identity or the sign fails beyond tol.
     """
-    for i, row in enumerate(d.rows):
-        for j, v in row:
-            if j == i and v != 0.0:
-                raise NotADistance(f"nonzero self-distance at point {i}")
-            if v < 0.0:
-                raise NotADistance(f"negative distance {v} at ({i}, {j})")
+    check_distance_values(d)
     points = _as_point_list(s)
     size = len(points)
     total = sum(delta_triangular(d, x, points) for x in points)

@@ -89,6 +89,7 @@ class EngineState:
         "ops_delta",
         "ops_update",
         "trace",
+        "point_to_set",
     )
 
     def __init__(self, measure: SparseSymmetricMeasure, partition: Partition):
@@ -102,18 +103,21 @@ class EngineState:
         self.sizes = list(partition.sizes)
         self.k = partition.k
         n, k = measure.n, partition.k
-        point_rows = array("d", bytes(8 * n * k))
-        assign = self.assign
-        for i, row in enumerate(measure.rows):
-            base = i * k
-            for j, v in row:
-                point_rows[base + assign[j]] += v
-        set_self = [0.0] * k
-        for i in range(n):
-            set_self[assign[i]] += point_rows[i * k + assign[i]]
+        assign = np.asarray(self.assign, dtype=np.int64)
+        # bincount accumulates in entry order, so each table cell sums its
+        # terms in the same order as a row-by-row scan would.
+        table = np.bincount(
+            measure.entry_rows() * k + assign[measure.indices],
+            weights=measure.data,
+            minlength=n * k,
+        )
+        own = table[np.arange(n) * k + assign]
+        set_self = np.bincount(assign, weights=own, minlength=k).tolist()
         sizes = self.sizes
         self.gbar = [set_self[c] / (sizes[c] * sizes[c]) for c in range(k)]
-        self.point_rows = point_rows
+        self.point_rows = array("d", table.tobytes())
+        # n-by-k view of gamma(x_i, S_k); shares the live buffer.
+        self.point_to_set = np.frombuffer(self.point_rows, dtype=float).reshape(n, k)
         self.objective = sum(sizes[c] * self.gbar[c] for c in range(k))
         self.ops_delta = 0
         self.ops_update = 0
@@ -122,13 +126,6 @@ class EngineState:
     @property
     def partition(self) -> Partition:
         return Partition(list(self.assign), self.k, list(self.sizes))
-
-    @property
-    def point_to_set(self) -> np.ndarray:
-        """n-by-k view of gamma(x_i, S_k); shares the live buffer."""
-        return np.frombuffer(self.point_rows, dtype=float).reshape(
-            self.measure.n, self.k
-        )
 
 
 def init_state(g: SparseSymmetricMeasure, partition: Partition) -> EngineState:
@@ -142,7 +139,7 @@ def fast_adjusted_delta(state: EngineState, x: int, k: int) -> float:
     _check_index(k, state.k)
     size = state.sizes[k]
     base = (
-        state.measure.diag[x]
+        float(state.measure.diag[x])
         - 2.0 * state.point_rows[x * state.k + k] / size
         + state.gbar[k]
     )
@@ -161,7 +158,8 @@ def _apply_move(state: EngineState, x: int, src: int, dst: int):
     sb = sizes[dst]
     point_rows = state.point_rows
     base = x * k
-    own = state.measure.diag[x]
+    measure = state.measure
+    own = float(measure.diag[x])
     old_contribution = sa * gbar[src] + sb * gbar[dst]
     # Shrink the source self-average and grow the destination one in
     # closed form; both reduce to (set self-sum +- edge terms) / new size^2.
@@ -174,15 +172,18 @@ def _apply_move(state: EngineState, x: int, src: int, dst: int):
     sizes[src] = sa - 1
     sizes[dst] = sb + 1
     state.assign[x] = dst
-    neighbors = state.measure.rows[x]
-    for j, v in neighbors:
-        offset = j * k
-        point_rows[offset + src] -= v
-        point_rows[offset + dst] += v
+    lo, hi = measure.indptr[x], measure.indptr[x + 1]
+    neighbors = measure.indices[lo:hi]
+    values = measure.data[lo:hi]
+    # A row holds each neighbor once, so the fancy-indexed updates are
+    # the same per-cell subtractions and additions as a scalar loop.
+    view = state.point_to_set
+    view[neighbors, src] -= values
+    view[neighbors, dst] += values
     state.objective += (
         (sa - 1) * gbar[src] + (sb + 1) * gbar[dst] - old_contribution
     )
-    state.ops_update += 2 * len(neighbors) + 6
+    state.ops_update += 2 * int(hi - lo) + 6
     if state.trace is not None:
         state.trace.append((x, src, dst))
 
@@ -209,7 +210,8 @@ def run_pass(state: EngineState) -> int:
     Moves take effect immediately, so later points see earlier moves.
     """
     measure = state.measure
-    diag = measure.diag
+    # Python floats: the loop's scalar reads are faster on a list.
+    diag = measure.diag.tolist()
     assign = state.assign
     sizes = state.sizes
     gbar = state.gbar
@@ -258,15 +260,13 @@ def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
 def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
     """From-scratch objective sum_k gamma(S_k, S_k) / |S_k|."""
     partition.validate()
-    assign = partition.assign
-    per_set = [0.0] * partition.k
-    for i, row in enumerate(g.rows):
-        target = assign[i]
-        acc = 0.0
-        for j, v in row:
-            if assign[j] == target:
-                acc += v
-        per_set[target] += acc
+    assign = np.asarray(partition.assign, dtype=np.int64)
+    rows = g.entry_rows()
+    same = assign[rows] == assign[g.indices]
+    # Two bincounts keep the reference summation order: entries within a
+    # row, then rows within a set, both in index order.
+    per_row = np.bincount(rows[same], weights=g.data[same], minlength=g.n)
+    per_set = np.bincount(assign, weights=per_row, minlength=partition.k).tolist()
     return sum(per_set[c] / partition.sizes[c] for c in range(partition.k))
 
 

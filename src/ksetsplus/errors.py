@@ -25,6 +25,10 @@ class NonSquareInput(KsetsError):
     """A dense matrix input is not square."""
 
 
+class NonFiniteValue(KsetsError):
+    """A measure value is NaN or infinite."""
+
+
 class NotADistance(KsetsError):
     """Values violate nonnegativity or the zero-diagonal requirement."""
 

@@ -25,7 +25,12 @@ from .errors import (
     CoordinateOutOfRange,
     InvalidProbability,
 )
-from .measure import Partition, SparseSymmetricMeasure, _from_dense_unchecked
+from .measure import (
+    Partition,
+    SparseSymmetricMeasure,
+    _from_coo,
+    _from_dense_unchecked,
+)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -153,26 +158,30 @@ def sbm_generate(params: SbmParams) -> SignedGraph:
 def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
     """Similarity A + 0.5 A^2 from the observed signed adjacency.
 
-    The square is taken by walking each node's two-step neighborhoods
-    over the adjacency lists, so the cost is sum over nodes of
-    deg(node)^2 rather than n^2. Entries that cancel to exactly zero
-    are dropped; diagonal entries (half the degree) are kept.
+    The square is taken by expanding every directed edge (i, j) into the
+    two-step terms (i, t) over j's neighbors t, so the cost is sum over
+    nodes of deg(node)^2 rather than n^2. All terms are multiples of 0.5,
+    so the sums are exact in any order. Entries that cancel to exactly
+    zero are dropped; diagonal entries (half the degree) are kept.
     """
     n = graph.n
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, s in zip(graph.edge_i, graph.edge_j, graph.sign):
-        adjacency[a].append((int(b), float(s)))
-        adjacency[b].append((int(a), float(s)))
-    rows: list[list[tuple[int, float]]] = []
-    for i in range(n):
-        acc: dict[int, float] = {}
-        for j, v_ij in adjacency[i]:
-            acc[j] = acc.get(j, 0.0) + v_ij
-            half_v = 0.5 * v_ij
-            for t, v_jt in adjacency[j]:
-                acc[t] = acc.get(t, 0.0) + half_v * v_jt
-        rows.append(sorted((j, v) for j, v in acc.items() if v != 0.0))
-    return SparseSymmetricMeasure(n, "similarity", rows)
+    src = np.concatenate([graph.edge_i, graph.edge_j]).astype(np.int64)
+    dst = np.concatenate([graph.edge_j, graph.edge_i]).astype(np.int64)
+    sign = np.concatenate([graph.sign, graph.sign]).astype(np.float64)
+    order = np.argsort(src, kind="stable")
+    src, dst, sign = src[order], dst[order], sign[order]
+    start = np.searchsorted(src, np.arange(n + 1))
+    # Term p of edge e walks position start[dst[e]] + (p - first term of e).
+    degree = np.diff(start)[dst]
+    first = np.cumsum(degree) - degree
+    step = np.repeat(start[dst] - first, degree) + np.arange(int(degree.sum()))
+    keys = np.concatenate([src * n + dst, np.repeat(src * n, degree) + dst[step]])
+    vals = np.concatenate([sign, np.repeat(0.5 * sign, degree) * sign[step]])
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=vals, minlength=len(keys))
+    keep = sums != 0.0
+    keys = keys[keep]
+    return _from_coo(n, "similarity", keys // n, keys % n, sums[keep])
 
 
 def edge_accuracy(
@@ -294,30 +303,38 @@ def random_sparse_similarity(
     target_edges = int(round(avg_degree * n / 2.0))
     max_edges = n * (n - 1) // 2
     target_edges = min(target_edges, max_edges)
-    chosen: set[tuple[int, int]] = set()
+    # Pairs are taken in draw order, skipping self-pairs and repeats,
+    # until target_edges distinct ones are held; a pair is a < b encoded
+    # as a * n + b.
+    chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < target_edges:
         need = target_edges - len(chosen)
         raw = rng.integers(0, n, size=(int(need * 1.5) + 8, 2))
-        for a, b in raw:
-            if a == b:
-                continue
-            pair = (int(a), int(b)) if a < b else (int(b), int(a))
-            chosen.add(pair)
-            if len(chosen) >= target_edges:
-                break
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b in sorted(chosen):
-        v = float(rng.uniform(value_low, value_high))
-        if v == 0.0:
-            continue
-        rows[a].append((b, v))
-        rows[b].append((a, v))
+        raw = raw[raw[:, 0] != raw[:, 1]]
+        pairs = raw.min(axis=1) * n + raw.max(axis=1)
+        fresh, first = np.unique(pairs, return_index=True)
+        new = ~np.isin(fresh, chosen)
+        taken = fresh[new][np.argsort(first[new])][:need]
+        chosen = np.concatenate([chosen, taken])
+    chosen.sort()
+    a, b = chosen // n, chosen % n
+    v = rng.uniform(value_low, value_high, size=len(chosen))
+    keep = v != 0.0
+    a, b, v = a[keep], b[keep], v[keep]
+    self_points: list[int] = []
+    self_values: list[float] = []
     if diagonal_fraction > 0.0:
         for i in range(n):
             if rng.random() < diagonal_fraction:
-                v = float(rng.uniform(value_low, value_high))
-                if v != 0.0:
-                    rows[i].append((i, v))
-    for row in rows:
-        row.sort()
-    return SparseSymmetricMeasure(n, "similarity", rows)
+                d = float(rng.uniform(value_low, value_high))
+                if d != 0.0:
+                    self_points.append(i)
+                    self_values.append(d)
+    self_index = np.array(self_points, dtype=np.int64)
+    return _from_coo(
+        n,
+        "similarity",
+        np.concatenate([a, b, self_index]),
+        np.concatenate([b, a, self_index]),
+        np.concatenate([v, v, self_values]),
+    )

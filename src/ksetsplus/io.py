@@ -50,10 +50,12 @@ def write_edge_list(path, g: SparseSymmetricMeasure):
     """Write stored entries once per unordered pair."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n} kind={g.kind}\n")
-        for i, row in enumerate(g.rows):
-            for j, v in row:
-                if j >= i:
-                    fh.write(f"{i} {j} {v!r}\n")
+        rows = g.entry_rows()
+        upper = g.indices >= rows
+        for i, j, v in zip(
+            rows[upper].tolist(), g.indices[upper].tolist(), g.data[upper].tolist()
+        ):
+            fh.write(f"{i} {j} {v!r}\n")
 
 
 def load_dense_csv(

@@ -1,16 +1,17 @@
 """Sparse symmetric measures, datasets, and partitions.
 
 A measure is a symmetric bivariate function gamma(.,.) over n points,
-stored as one adjacency list per point. Only nonzero values are stored,
-every off-diagonal entry is mirrored, and ``m`` counts stored entries,
-so an off-diagonal pair contributes 2 to m and a diagonal entry 1. The
+stored in compressed sparse row (CSR) form: row i's stored entries are
+``indices[indptr[i]:indptr[i+1]]`` (column indices, sorted) with values
+``data[indptr[i]:indptr[i+1]]``. Only nonzero values are stored, every
+off-diagonal entry is mirrored, and ``m`` counts stored entries, so an
+off-diagonal pair contributes 2 to m and a diagonal entry 1. The
 neighborhood of point i is exactly the points with a stored entry in
 row i, which is what makes m the cost parameter of the fast engine.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +22,16 @@ from .errors import (
     DuplicateEntry,
     EmptySetInPartition,
     IndexOutOfRange,
+    NonFiniteValue,
     NonSquareInput,
     NotADistance,
 )
 
 KINDS = ("similarity", "distance", "cohesion")
+
+# Indices are read as floats so that a fractional index is caught, not
+# truncated.
+_TRIPLE = np.dtype([("i", np.float64), ("j", np.float64), ("v", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -51,107 +57,98 @@ class DataSet:
 
 
 class SparseSymmetricMeasure:
-    """Symmetric n-by-n measure in adjacency-list form.
+    """Symmetric n-by-n measure in CSR form.
 
     Attributes:
         n: point count.
         kind: one of "similarity", "distance", "cohesion".
-        rows: per-point list of (neighbor, value) pairs, sorted by
-            neighbor index. Treat as read-only.
-        diag: per-point diagonal value gamma(i, i) (0.0 when unstored).
-        m: total number of stored entries, sum of len(rows[i]).
+        indptr: int64 array of n + 1 row offsets into indices and data.
+        indices: int64 array of column indices, sorted within each row.
+        data: float64 array of the stored (nonzero, finite) values.
+        diag: float64 array of gamma(i, i) (0.0 when unstored).
+        m: number of stored entries, indptr[-1].
 
-    Instances are immutable by convention after construction and safe to
-    share across threads.
+    Every constructor of a measure passes through ``__init__``, which
+    rejects non-finite values and, for kind "distance", invalid
+    distances. Instances are immutable by convention after construction
+    and safe to share across threads; treat the arrays as read-only.
     """
 
-    __slots__ = ("n", "kind", "rows", "diag", "m")
+    __slots__ = ("n", "kind", "indptr", "indices", "data", "diag")
 
-    def __init__(self, n: int, kind: str, rows: list[list[tuple[int, float]]]):
+    def __init__(self, n: int, kind: str, indptr, indices, data):
         if n < 1:
             raise ArityMismatch("a measure needs at least one point")
         if kind not in KINDS:
             raise ValueError(f"unknown measure kind {kind!r}")
-        if len(rows) != n:
-            raise ArityMismatch(f"{len(rows)} rows for n={n}")
         self.n = n
         self.kind = kind
-        self.rows = rows
-        self.diag = [0.0] * n
-        m = 0
-        for i, row in enumerate(rows):
-            m += len(row)
-            for j, v in row:
-                if j == i:
-                    self.diag[i] = v
-        self.m = m
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.float64)
+        if len(self.indptr) != n + 1:
+            raise ArityMismatch(f"{len(self.indptr) - 1} rows for n={n}")
+        if not np.isfinite(self.data).all():
+            p = int(np.argmin(np.isfinite(self.data)))
+            i, j = self._coordinates(p)
+            raise NonFiniteValue(f"non-finite value {self.data[p]} at ({i}, {j})")
+        rows = self.entry_rows()
+        on_diag = self.indices == rows
+        self.diag = np.zeros(n)
+        self.diag[rows[on_diag]] = self.data[on_diag]
         if kind == "distance":
-            self._check_distance_storage()
+            check_distance_values(self)
 
-    def _check_distance_storage(self):
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                if j == i:
-                    raise NotADistance(f"distance has a self-entry at point {i}")
-                if v < 0.0:
-                    raise NotADistance(f"negative distance {v} at ({i}, {j})")
+    @property
+    def m(self) -> int:
+        return int(self.indptr[-1])
+
+    def entry_rows(self) -> np.ndarray:
+        """Row index of every stored entry, parallel to indices and data."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
+    def _coordinates(self, p: int) -> tuple[int, int]:
+        i = int(np.searchsorted(self.indptr, p, side="right")) - 1
+        return i, int(self.indices[p])
 
     def value(self, i: int, j: int) -> float:
         """gamma(i, j); 0.0 for pairs with no stored entry."""
         _check_index(i, self.n)
         _check_index(j, self.n)
-        row = self.rows[i]
-        pos = bisect_left(row, j, key=lambda e: e[0])
-        if pos < len(row) and row[pos][0] == j:
-            return row[pos][1]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        pos = lo + np.searchsorted(self.indices[lo:hi], j)
+        if pos < hi and self.indices[pos] == j:
+            return float(self.data[pos])
         return 0.0
 
-    def neighbors(self, i: int) -> list[tuple[int, float]]:
-        _check_index(i, self.n)
-        return self.rows[i]
-
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        for i, row in enumerate(self.rows):
-            out[i] = sum(v for _, v in row)
-        return out
-
-    def total(self) -> float:
-        """gamma(Omega, Omega), the sum of all entries."""
-        return float(self.row_sums().sum())
+        return np.bincount(self.entry_rows(), weights=self.data, minlength=self.n)
 
     def max_abs(self) -> float:
-        best = 0.0
-        for row in self.rows:
-            for _, v in row:
-                a = abs(v)
-                if a > best:
-                    best = a
-        return best
+        return float(np.abs(self.data).max()) if self.m else 0.0
 
     def to_dense(self) -> np.ndarray:
         """Dense n-by-n copy; verification-scale inputs only."""
         out = np.zeros((self.n, self.n))
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                out[i, j] = v
+        out[self.entry_rows(), self.indices] = self.data
         return out
-
-    def with_kind(self, kind: str) -> "SparseSymmetricMeasure":
-        """Same storage reinterpreted under another kind tag."""
-        return SparseSymmetricMeasure(self.n, kind, self.rows)
 
     def check_symmetry(self):
         """Full-scan assertion that every entry is mirrored exactly."""
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                if self.value(j, i) != v:
-                    raise AsymmetricDuplicate(
-                        f"entry ({i}, {j}) = {v} is not mirrored"
-                    )
-
-    def recount_m(self) -> int:
-        return sum(len(row) for row in self.rows)
+        rows = self.entry_rows()
+        # Entries sorted by (column, row) are the transpose in CSR order.
+        order = np.lexsort((rows, self.indices))
+        mismatch = (
+            (self.indices[order] != rows)
+            | (rows[order] != self.indices)
+            | (self.data[order] != self.data)
+        )
+        if mismatch.any():
+            p = int(np.argmax(mismatch))
+            raise AsymmetricDuplicate(
+                f"entry ({rows[p]}, {self.indices[p]}) = {self.data[p]} "
+                "is not mirrored"
+            )
 
     def __repr__(self):
         return (
@@ -164,6 +161,26 @@ def _check_index(i: int, n: int):
         raise IndexOutOfRange(f"point index {i} outside [0, {n})")
 
 
+def check_distance_values(g: SparseSymmetricMeasure):
+    """Raise NotADistance on a nonzero self-distance or a negative value."""
+    selfs = np.flatnonzero(g.diag)
+    if selfs.size:
+        raise NotADistance(f"nonzero self-distance at point {selfs[0]}")
+    negative = np.flatnonzero(g.data < 0.0)
+    if negative.size:
+        p = int(negative[0])
+        i, j = g._coordinates(p)
+        raise NotADistance(f"negative distance {g.data[p]} at ({i}, {j})")
+
+
+def _from_coo(n: int, kind: str, rows, cols, vals) -> SparseSymmetricMeasure:
+    """CSR measure from entries with distinct (row, col) keys."""
+    order = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseSymmetricMeasure(n, kind, indptr, cols[order], vals[order])
+
+
 def build_from_triples(
     n: int, triples, kind: str = "similarity"
 ) -> SparseSymmetricMeasure:
@@ -171,34 +188,50 @@ def build_from_triples(
 
     Each unordered pair may be given once per orientation; if both
     orientations appear their values must agree. Exact zeros are dropped
-    from storage.
+    from storage. Index errors are reported before duplicates, and
+    duplicates before conflicting mirror values.
     """
-    seen: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
-    for i, j, v in triples:
-        _check_index(i, n)
-        _check_index(j, n)
-        key = (i, j) if i <= j else (j, i)
-        orientations = seen.setdefault(key, {})
-        if (i, j) in orientations:
-            raise DuplicateEntry(f"pair ({i}, {j}) given twice")
-        v = float(v)
-        for other in orientations.values():
-            if other != v:
-                raise AsymmetricDuplicate(
-                    f"pair {key} given with values {other} and {v}"
-                )
-        orientations[(i, j)] = v
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (a, b), orientations in seen.items():
-        v = next(iter(orientations.values()))
-        if v == 0.0:
-            continue
-        rows[a].append((b, v))
-        if b != a:
-            rows[b].append((a, v))
-    for row in rows:
-        row.sort()
-    return SparseSymmetricMeasure(n, kind, rows)
+    t = np.fromiter(map(tuple, triples), dtype=_TRIPLE)
+    i, j, v = t["i"].astype(np.int64), t["j"].astype(np.int64), t["v"]
+    if not (np.array_equal(i, t["i"]) and np.array_equal(j, t["j"])):
+        raise IndexOutOfRange("point indices must be integers")
+    outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+    if outside.any():
+        p = int(np.argmax(outside))
+        _check_index(int(i[p]), n)
+        _check_index(int(j[p]), n)
+    # Sort by unordered pair, then orientation, so both orientations of a
+    # pair are adjacent and a repeated orientation is adjacent to itself.
+    lo = np.minimum(i, j)
+    hi = np.maximum(i, j)
+    key = (lo * n + hi) * 2 + (i > j)
+    order = np.argsort(key, kind="stable")
+    key, lo, hi, v = key[order], lo[order], hi[order], v[order]
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        p = order[repeated[0]]
+        raise DuplicateEntry(f"pair ({i[p]}, {j[p]}) given twice")
+    mirrored = np.flatnonzero(key[1:] // 2 == key[:-1] // 2)
+    conflict = mirrored[
+        (v[mirrored] != v[mirrored + 1])
+        & ~(np.isnan(v[mirrored]) & np.isnan(v[mirrored + 1]))
+    ]
+    if conflict.size:
+        p = conflict[0]
+        raise AsymmetricDuplicate(
+            f"pair ({lo[p]}, {hi[p]}) given with values {v[p]} and {v[p + 1]}"
+        )
+    keep = v != 0.0
+    keep[mirrored + 1] = False
+    lo, hi, v = lo[keep], hi[keep], v[keep]
+    off = lo != hi
+    return _from_coo(
+        n,
+        kind,
+        np.concatenate([lo, hi[off]]),
+        np.concatenate([hi, lo[off]]),
+        np.concatenate([v, v[off]]),
+    )
 
 
 def from_dense(matrix, kind: str = "similarity") -> SparseSymmetricMeasure:
@@ -208,21 +241,28 @@ def from_dense(matrix, kind: str = "similarity") -> SparseSymmetricMeasure:
     matrix is not exactly symmetric (use :func:`symmetrize` to average
     an asymmetric one).
     """
+    a = _square(matrix)
+    g = _from_dense_unchecked(a, kind)
+    if not np.array_equal(a, a.T):
+        raise AsymmetricDuplicate("dense input is not symmetric")
+    return g
+
+
+def _square(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareInput(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise AsymmetricDuplicate("dense input is not symmetric")
-    return _from_dense_unchecked(a, kind)
+    return a
 
 
 def _from_dense_unchecked(a: np.ndarray, kind: str) -> SparseSymmetricMeasure:
-    n = a.shape[0]
-    rows: list[list[tuple[int, float]]] = []
-    for i in range(n):
-        nz = np.nonzero(a[i])[0]
-        rows.append([(int(j), float(a[i, j])) for j in nz])
-    return SparseSymmetricMeasure(n, kind, rows)
+    """CSR measure of a square matrix's nonzeros, read in row-major order."""
+    stored = a != 0.0
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return SparseSymmetricMeasure(
+        a.shape[0], kind, indptr, np.nonzero(stored)[1], a[stored]
+    )
 
 
 def symmetrize(raw, kind: str = "similarity") -> SparseSymmetricMeasure:
@@ -231,9 +271,7 @@ def symmetrize(raw, kind: str = "similarity") -> SparseSymmetricMeasure:
     The output value at (i, j) is (raw[i][j] + raw[j][i]) / 2, which
     is how an asymmetric latency matrix is turned into a semi-metric.
     """
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareInput(f"expected a square matrix, got shape {a.shape}")
+    a = _square(raw)
     return _from_dense_unchecked((a + a.T) / 2.0, kind)
 
 
@@ -249,15 +287,12 @@ def measure_of_sets(g: SparseSymmetricMeasure, s1, s2) -> float:
         _check_index(i, g.n)
     if not set1 or not set2:
         return 0.0
-    # Iterate the smaller side's adjacency rows, filter by the other.
-    if len(set1) > len(set2):
-        set1, set2 = set2, set1
-    total = 0.0
-    for i in set1:
-        for j, v in g.rows[i]:
-            if j in set2:
-                total += v
-    return total
+    in1 = np.zeros(g.n, dtype=bool)
+    in1[list(set1)] = True
+    in2 = np.zeros(g.n, dtype=bool)
+    in2[list(set2)] = True
+    selected = in1[g.entry_rows()] & in2[g.indices]
+    return float(g.data[selected].sum())
 
 
 @dataclass

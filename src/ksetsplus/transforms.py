@@ -26,8 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delta import adjusted_delta, delta
-from .errors import NotACohesion, NotADistance, SigmaTooSmall, TooFewPoints
-from .measure import SparseSymmetricMeasure, _from_dense_unchecked
+from .errors import NotACohesion, SigmaTooSmall, TooFewPoints
+from .measure import (
+    SparseSymmetricMeasure,
+    _from_dense_unchecked,
+    check_distance_values,
+)
 
 # Absolute slack allowed on the diagonal-dominance check; the zero-row-sum
 # check scales with n * max|value| to absorb summation error.
@@ -68,7 +72,7 @@ class SemiCohesionMeasure:
                 f"row sums reach {worst:.3g}, beyond tolerance {tol:.3g}"
             )
         dense = g.to_dense()
-        diag = np.asarray(g.diag)
+        diag = g.diag
         dominance = diag[:, None] + diag[None, :] - 2.0 * dense
         worst = float(dominance.min())
         if worst < -C3_TOL:
@@ -83,22 +87,13 @@ class SemiCohesionMeasure:
         )
 
 
-def _require_distance_values(d: SparseSymmetricMeasure):
-    for i, row in enumerate(d.rows):
-        for j, v in row:
-            if j == i and v != 0.0:
-                raise NotADistance(f"nonzero self-distance at point {i}")
-            if v < 0.0:
-                raise NotADistance(f"negative distance {v} at ({i}, {j})")
-
-
 def induced_cohesion(d: SparseSymmetricMeasure) -> SemiCohesionMeasure:
     """Semi-cohesion measure induced by a semi-metric.
 
     gamma(x, y) = rowavg(x) + rowavg(y) - grandavg - d(x, y), where the
     averages are over all n points. Output rows sum to zero.
     """
-    _require_distance_values(d)
+    check_distance_values(d)
     dense = d.to_dense()
     row_avg = dense.mean(axis=1)
     grand_avg = row_avg.mean()
@@ -121,7 +116,7 @@ def dual_distance(
     else:
         g.validate()
     dense = g.underlying.to_dense()
-    diag = np.asarray(g.underlying.diag)
+    diag = g.underlying.diag
     d = (diag[:, None] + diag[None, :]) / 2.0 - dense
     np.fill_diagonal(d, 0.0)
     d[(d < 0.0) & (d > -C3_TOL)] = 0.0
@@ -142,24 +137,14 @@ def sigma_min(g: SparseSymmetricMeasure) -> float:
     if n < 2:
         raise TooFewPoints("the shift bound needs at least two points")
     diag = g.diag
-    best = -np.inf
-    off_diagonal_pairs = 0
-    for i, row in enumerate(g.rows):
-        for j, v in row:
-            if j <= i:
-                continue
-            off_diagonal_pairs += 1
-            cand = v - (diag[i] + diag[j]) / 2.0
-            if cand > best:
-                best = cand
-    if off_diagonal_pairs < n * (n - 1) // 2:
+    rows = g.entry_rows()
+    upper = g.indices > rows
+    i, j = rows[upper], g.indices[upper]
+    candidates = g.data[upper] - (diag[i] + diag[j]) / 2.0
+    best = float(candidates.max()) if candidates.size else -np.inf
+    if candidates.size < n * (n - 1) // 2:
         # Some pair has value zero; bound those by the two smallest diagonals.
-        d1 = d2 = np.inf
-        for v in diag:
-            if v < d1:
-                d1, d2 = v, d1
-            elif v < d2:
-                d2 = v
+        d1, d2 = np.partition(diag, 1)[:2]
         best = max(best, -(d1 + d2) / 2.0)
     return float(best)
 

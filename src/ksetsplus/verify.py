@@ -81,7 +81,7 @@ def is_cluster(g, s) -> ClusterReport:
     for p in members:
         _check_index(p, n)
     dense = g.underlying.to_dense()
-    diag = np.asarray(g.underlying.diag)
+    diag = g.underlying.diag
     mask = np.zeros(n, dtype=bool)
     mask[members] = True
     inside = int(mask.sum())
@@ -139,7 +139,7 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
         )
     k = partition.k
     dense = g.underlying.to_dense()
-    diag = np.asarray(g.underlying.diag)
+    diag = g.underlying.diag
     dist = (diag[:, None] + diag[None, :]) / 2.0 - dense
 
     onehot = np.zeros((n, k))

@@ -85,6 +85,28 @@ class TestClusterCommand:
         )
         assert code == 2
 
+    def test_nan_edge_is_exit_2(self, tmp_path):
+        edges = tmp_path / "nan.txt"
+        edges.write_text("0 1 1\n1 2 nan\n")
+        out = tmp_path / "o.tsv"
+        code = main(
+            ["cluster", "--input", str(edges), "--k", "2", "--output", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    def test_nan_dense_symmetrize_is_exit_2(self, tmp_path):
+        dense = tmp_path / "nan.csv"
+        dense.write_text("0,1,nan\n2,0,3\n4,5,0\n")
+        out = tmp_path / "o.tsv"
+        code = main(
+            ["cluster", "--input", str(dense), "--format", "dense",
+             "--kind", "distance", "--symmetrize", "--k", "2",
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_dense_latency_fixture(self, tmp_path):
         out = tmp_path / "latency.tsv"
         code = main(

@@ -9,12 +9,14 @@ from ksetsplus.errors import (
     DuplicateEntry,
     EmptySetInPartition,
     IndexOutOfRange,
+    NonFiniteValue,
     NonSquareInput,
     NotADistance,
 )
 from ksetsplus.measure import (
     DataSet,
     Partition,
+    SparseSymmetricMeasure,
     build_from_triples,
     from_dense,
     measure_of_sets,
@@ -60,6 +62,10 @@ class TestBuildFromTriples:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             build_from_triples(2, [(0, 2, 1.0)])
+
+    def test_fractional_index_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            build_from_triples(2, [(0.5, 1, 1.0)])
 
     def test_diagonal_stored_once(self):
         g = build_from_triples(2, [(0, 0, 3.0), (0, 1, 1.0)])
@@ -139,14 +145,109 @@ class TestStorageInvariants:
         rng = np.random.default_rng(seed)
         g = random_similarity_dense(rng, 10, density=0.4)
         g.check_symmetry()
-        assert g.recount_m() == g.m
+        assert g.indptr[0] == 0
+        assert np.all(np.diff(g.indptr) >= 0)
+        assert len(g.indices) == len(g.data) == g.m
+        assert np.count_nonzero(g.to_dense()) == g.m
 
     def test_rows_sorted_and_nonzero(self):
         rng = np.random.default_rng(11)
         g = random_similarity_dense(rng, 9, density=0.3)
-        for row in g.rows:
-            assert row == sorted(row)
-            assert all(v != 0.0 for _, v in row)
+        for i in range(g.n):
+            row = g.indices[g.indptr[i] : g.indptr[i + 1]]
+            assert np.all(np.diff(row) > 0)
+        assert np.all(g.data != 0.0)
+
+    def test_array_dtypes(self, semimetric3):
+        g = semimetric3
+        assert g.indptr.dtype == np.int64 and g.indptr.shape == (g.n + 1,)
+        assert g.indices.dtype == np.int64
+        assert g.data.dtype == np.float64
+        assert g.diag.dtype == np.float64 and g.diag.shape == (g.n,)
+
+    def test_check_symmetry_catches_unmirrored_entry(self):
+        g = SparseSymmetricMeasure(2, "similarity", [0, 1, 1], [1], [1.0])
+        with pytest.raises(AsymmetricDuplicate):
+            g.check_symmetry()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_triples(self, bad):
+        with pytest.raises(NonFiniteValue):
+            build_from_triples(3, [(0, 1, 1.0), (1, 2, bad)])
+
+    def test_triples_nan_given_both_ways(self):
+        with pytest.raises(NonFiniteValue):
+            build_from_triples(2, [(0, 1, np.nan), (1, 0, np.nan)])
+
+    def test_from_dense_reports_nan_not_asymmetry(self):
+        with pytest.raises(NonFiniteValue):
+            from_dense([[0.0, np.nan], [np.nan, 0.0]])
+
+    def test_symmetrize(self):
+        with pytest.raises(NonFiniteValue):
+            symmetrize([[0.0, np.nan], [1.0, 0.0]])
+
+
+def naive_build(n, triples):
+    """Dict-based reference builder: {(i, j): value} with mirrors and no zeros.
+
+    Checks index range first, then repeated orientations, then
+    conflicting mirror values.
+    """
+    for i, j, _ in triples:
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexOutOfRange
+    oriented = [(i, j) for i, j, _ in triples]
+    if len(set(oriented)) != len(oriented):
+        raise DuplicateEntry
+    given = {(i, j): v for i, j, v in triples}
+    out = {}
+    for (i, j), v in given.items():
+        if given.get((j, i), v) != v:
+            raise AsymmetricDuplicate
+        if v != 0.0:
+            out[(i, j)] = v
+            out[(j, i)] = v
+    return out
+
+
+triple_lists = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(-1, n),
+                st.integers(-1, n),
+                st.sampled_from([0.0, -2.5, -1.0, 0.5, 1.0, 3.0]),
+            ),
+            max_size=14,
+        ),
+    )
+)
+
+
+class TestBuilderProperty:
+    @given(triple_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_builder(self, case):
+        n, triples = case
+        try:
+            expected = naive_build(n, triples)
+        except (IndexOutOfRange, DuplicateEntry, AsymmetricDuplicate) as exc:
+            with pytest.raises(type(exc)):
+                build_from_triples(n, triples)
+            return
+        g = build_from_triples(n, triples)
+        assert g.m == len(expected)
+        for i in range(n):
+            assert g.diag[i] == expected.get((i, i), 0.0)
+            row = g.indices[g.indptr[i] : g.indptr[i + 1]]
+            assert np.all(np.diff(row) > 0)
+            for j in range(n):
+                assert g.value(i, j) == expected.get((i, j), 0.0)
+        assert np.all(g.data != 0.0)
 
 
 class TestPartition:

@@ -8,7 +8,7 @@ from ksetsplus.errors import (
     SigmaTooSmall,
     TooFewPoints,
 )
-from ksetsplus.measure import build_from_triples, from_dense
+from ksetsplus.measure import SparseSymmetricMeasure, build_from_triples, from_dense
 from ksetsplus.transforms import (
     SemiCohesionMeasure,
     check_shift_lemma,
@@ -102,7 +102,9 @@ class TestSigmaMin:
         assert sigma_min(build_from_triples(2, [])) == 0.0
 
     def test_fixture_as_similarity(self, semimetric3):
-        assert sigma_min(semimetric3.with_kind("similarity")) == 6.0
+        d = semimetric3
+        g = SparseSymmetricMeasure(d.n, "similarity", d.indptr, d.indices, d.data)
+        assert sigma_min(g) == 6.0
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
