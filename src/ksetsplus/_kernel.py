@@ -1,0 +1,94 @@
+"""Build, cache and load the compiled pass kernel (``_pass.c``) on first use.
+
+The kernel is compiled once with the system C compiler into a shared
+library cached under ``$XDG_CACHE_HOME/ksetsplus`` (default
+``~/.cache/ksetsplus``). The file name carries a key, a sha256 of the
+source and the compiler command, and the key is also compiled into the
+library: a cached file that does not hold its key (truncated, corrupt or
+built from other source) is rebuilt rather than loaded. When no library
+can be built, ``load`` logs one WARNING and returns None, and the engine
+runs its pure-Python pass instead.
+
+This module is imported on the first pass, not with the package, so that
+importing ksetsplus neither loads it nor starts a compiler.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+# The kernel is the engine's implementation detail, so it logs as the engine.
+logger = logging.getLogger("ksetsplus.engine")
+
+SOURCE = Path(__file__).with_name("_pass.c")
+# No -ffast-math or -march: the kernel must round exactly like the Python
+# pass, and -ffp-contract=off keeps the compiler from fusing into FMAs.
+COMMAND = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_ARGTYPES = (
+    [ctypes.c_int64, ctypes.c_int64]  # n, k
+    + [_I64, _I64, _F64, _F64]  # indptr, indices, data, diag
+    + [_I64, _I64, _F64, _F64]  # assign, sizes, gbar, point-to-set rows
+    + [_F64, _I64, ctypes.c_void_p]  # objective, ops, trace or NULL
+)
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    return Path(base) / "ksetsplus"
+
+
+@functools.cache
+def load():
+    """The kernel as a ctypes function, or None if it cannot be built."""
+    try:
+        path = build(_cache_dir())
+        kernel = ctypes.CDLL(str(path)).ksets_pass
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.strip().splitlines()
+        reason = lines[0] if lines else f"exit status {exc.returncode}"
+    except (OSError, subprocess.SubprocessError) as exc:
+        reason = str(exc)
+    else:
+        kernel.argtypes = _ARGTYPES
+        kernel.restype = ctypes.c_int64
+        logger.debug("pass implementation: compiled kernel %s", path)
+        return kernel
+    logger.warning("cannot build the compiled pass, using the Python pass: %s", reason)
+    return None
+
+
+def build(directory: Path) -> Path:
+    """Path of the cached kernel library in directory, compiled if needed."""
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(COMMAND).encode()).hexdigest()[:32]
+    path = directory / f"_pass-{key}.so"
+    if path.is_file() and f"ksetsplus-pass-key:{key}".encode() in path.read_bytes():
+        return path
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*COMMAND, f'-DKSETS_PASS_KEY="{key}"', "-o", tmp, str(SOURCE)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path

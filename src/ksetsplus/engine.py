@@ -16,7 +16,10 @@ passes on exact arithmetic; max_passes guards against float near-ties.
 
 point_to_set is held as one flat unboxed double buffer (row-major n by
 k); the compact layout keeps passes cache-friendly at n in the tens of
-thousands.
+thousands. assign and sizes are int64 arrays and gbar a float64 array,
+so the compiled pass kernel (_pass.c) updates all of them in place; the
+pure-Python pass is kept as its bit-exact reference and as the fallback
+when no kernel can be built.
 """
 
 from __future__ import annotations
@@ -99,11 +102,11 @@ class EngineState:
                 f"partition covers {partition.n} points, measure has {measure.n}"
             )
         self.measure = measure
-        self.assign = list(partition.assign)
-        self.sizes = list(partition.sizes)
+        self.assign = np.array(partition.assign, dtype=np.int64)
+        self.sizes = np.array(partition.sizes, dtype=np.int64)
         self.k = partition.k
         n, k = measure.n, partition.k
-        assign = np.asarray(self.assign, dtype=np.int64)
+        assign = self.assign
         # bincount accumulates in entry order, so each table cell sums its
         # terms in the same order as a row-by-row scan would.
         table = np.bincount(
@@ -113,19 +116,20 @@ class EngineState:
         )
         own = table[np.arange(n) * k + assign]
         set_self = np.bincount(assign, weights=own, minlength=k).tolist()
-        sizes = self.sizes
-        self.gbar = [set_self[c] / (sizes[c] * sizes[c]) for c in range(k)]
+        sizes = partition.sizes
+        gbar = [set_self[c] / (sizes[c] * sizes[c]) for c in range(k)]
+        self.gbar = np.array(gbar)
         self.point_rows = array("d", table.tobytes())
         # n-by-k view of gamma(x_i, S_k); shares the live buffer.
         self.point_to_set = np.frombuffer(self.point_rows, dtype=float).reshape(n, k)
-        self.objective = sum(sizes[c] * self.gbar[c] for c in range(k))
+        self.objective = sum(sizes[c] * gbar[c] for c in range(k))
         self.ops_delta = 0
         self.ops_update = 0
         self.trace: list[tuple[int, int, int]] | None = None
 
     @property
     def partition(self) -> Partition:
-        return Partition(list(self.assign), self.k, list(self.sizes))
+        return Partition(self.assign.tolist(), self.k, self.sizes.tolist())
 
 
 def init_state(g: SparseSymmetricMeasure, partition: Partition) -> EngineState:
@@ -137,11 +141,11 @@ def fast_adjusted_delta(state: EngineState, x: int, k: int) -> float:
     """O(1) adjusted triangular distance from the cached tables."""
     _check_index(x, state.measure.n)
     _check_index(k, state.k)
-    size = state.sizes[k]
+    size = int(state.sizes[k])
     base = (
         float(state.measure.diag[x])
         - 2.0 * state.point_rows[x * state.k + k] / size
-        + state.gbar[k]
+        + float(state.gbar[k])
     )
     if state.assign[x] == k:
         if size == 1:
@@ -150,9 +154,12 @@ def fast_adjusted_delta(state: EngineState, x: int, k: int) -> float:
     return size / (size + 1.0) * base
 
 
-def _apply_move(state: EngineState, x: int, src: int, dst: int):
-    sizes = state.sizes
-    gbar = state.gbar
+def _apply_move(state: EngineState, assign, sizes, gbar, x: int, src: int, dst: int):
+    """Move x from src to dst in the caller's assign, sizes and gbar.
+
+    sizes and gbar are lists that the caller writes back to the state,
+    so this arithmetic runs on Python scalars for every caller.
+    """
     k = state.k
     sa = sizes[src]
     sb = sizes[dst]
@@ -171,7 +178,7 @@ def _apply_move(state: EngineState, x: int, src: int, dst: int):
     )
     sizes[src] = sa - 1
     sizes[dst] = sb + 1
-    state.assign[x] = dst
+    assign[x] = dst
     lo, hi = measure.indptr[x], measure.indptr[x + 1]
     neighbors = measure.indices[lo:hi]
     values = measure.data[lo:hi]
@@ -192,12 +199,15 @@ def reassign_point(state: EngineState, x: int, to: int) -> EngineState:
     """Move one point to another set, updating the caches incrementally."""
     _check_index(x, state.measure.n)
     _check_index(to, state.k)
-    src = state.assign[x]
+    src = int(state.assign[x])
     if to == src:
         raise KsetsError(f"point {x} is already in set {to}")
     if state.sizes[src] < 2:
         raise WouldEmptySet(f"moving point {x} would empty set {src}")
-    _apply_move(state, x, src, to)
+    sizes, gbar = state.sizes.tolist(), state.gbar.tolist()
+    _apply_move(state, state.assign, sizes, gbar, x, src, to)
+    state.sizes[:] = sizes
+    state.gbar[:] = gbar
     return state
 
 
@@ -208,13 +218,42 @@ def run_pass(state: EngineState) -> int:
     adjusted triangular distance than its current one; ties keep the
     current set, and ties among other sets go to the lowest index.
     Moves take effect immediately, so later points see earlier moves.
+
+    The sweep runs in the compiled kernel, loaded (and built if not yet
+    cached) on the first call, see ``_kernel``; when no kernel can be
+    built it runs ``_run_pass_reference``.
+    Both give the same moves, tables and objective bit for bit.
     """
+    from ._kernel import load
+
+    kernel = load()
+    if kernel is None:
+        return _run_pass_reference(state)
+    g = state.measure
+    objective = np.array([state.objective])
+    ops = np.zeros(2, dtype=np.int64)
+    trace = None if state.trace is None else np.empty(3 * g.n, dtype=np.int64)
+    moves = kernel(
+        g.n, state.k, g.indptr, g.indices, g.data, g.diag,
+        state.assign, state.sizes, state.gbar, state.point_to_set,
+        objective, ops, None if trace is None else trace.ctypes.data,
+    )
+    state.objective = float(objective[0])
+    state.ops_delta += int(ops[0])
+    state.ops_update += int(ops[1])
+    if trace is not None:
+        state.trace.extend(map(tuple, trace[: 3 * moves].reshape(-1, 3).tolist()))
+    return moves
+
+
+def _run_pass_reference(state: EngineState) -> int:
+    """Pure-Python ``run_pass``: the compiled kernel's oracle and fallback."""
     measure = state.measure
-    # Python floats: the loop's scalar reads are faster on a list.
+    # Python scalars: the loop's reads and writes are faster on lists.
     diag = measure.diag.tolist()
-    assign = state.assign
-    sizes = state.sizes
-    gbar = state.gbar
+    assign = state.assign.tolist()
+    sizes = state.sizes.tolist()
+    gbar = state.gbar.tolist()
     point_rows = state.point_rows
     k = state.k
     moves = 0
@@ -243,8 +282,11 @@ def run_pass(state: EngineState) -> int:
                 best = cand
                 target = c
         if target != src:
-            _apply_move(state, x, src, target)
+            _apply_move(state, assign, sizes, gbar, x, src, target)
             moves += 1
+    state.assign[:] = assign
+    state.sizes[:] = sizes
+    state.gbar[:] = gbar
     state.ops_delta += evaluations
     return moves
 
@@ -273,7 +315,7 @@ def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
 def _converge(state: EngineState, max_passes: int):
     history: list[float] = []
     best_objective = state.objective
-    best_assign = list(state.assign)
+    best_assign = state.assign.copy()
     converged = False
     passes = 0
     for _ in range(max_passes):
@@ -282,11 +324,11 @@ def _converge(state: EngineState, max_passes: int):
         history.append(state.objective)
         if state.objective > best_objective:
             best_objective = state.objective
-            best_assign = list(state.assign)
+            best_assign = state.assign.copy()
         if moved == 0:
             converged = True
             break
-    return best_assign, history, passes, converged
+    return best_assign.tolist(), history, passes, converged
 
 
 def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:

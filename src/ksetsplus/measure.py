@@ -22,6 +22,7 @@ from .errors import (
     DuplicateEntry,
     EmptySetInPartition,
     IndexOutOfRange,
+    KsetsError,
     NonFiniteValue,
     NonSquareInput,
     NotADistance,
@@ -69,7 +70,9 @@ class SparseSymmetricMeasure:
         m: number of stored entries, indptr[-1].
 
     Every constructor of a measure passes through ``__init__``, which
-    rejects non-finite values and, for kind "distance", invalid
+    stores contiguous arrays that own their memory, checks the CSR
+    structure (column indices in range, strictly increasing per row),
+    and rejects non-finite values and, for kind "distance", invalid
     distances. Instances are immutable by convention after construction
     and safe to share across threads; treat the arrays as read-only.
     """
@@ -83,11 +86,25 @@ class SparseSymmetricMeasure:
             raise ValueError(f"unknown measure kind {kind!r}")
         self.n = n
         self.kind = kind
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
+        # Contiguous arrays: a strided view (np.nonzero's column output, say)
+        # would pin its whole base array, and the compiled pass reads raw
+        # pointers.
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
         if len(self.indptr) != n + 1:
             raise ArityMismatch(f"{len(self.indptr) - 1} rows for n={n}")
+        if not (self.indptr[0] == 0 and self.m == len(self.indices) == len(self.data)):
+            raise ArityMismatch("indptr, indices and data describe different entries")
+        if self.m and not 0 <= self.indices.min() <= self.indices.max() < n:
+            raise IndexOutOfRange(f"a column index is outside [0, {n})")
+        # Compare neighbours in place, then forgive each row's first entry:
+        # a one-byte mask, not int64 temporaries, at the build's peak.
+        unordered = self.indices[1:] <= self.indices[:-1]
+        starts = self.indptr[1:-1]
+        unordered[starts[(starts > 0) & (starts < self.m)] - 1] = False
+        if unordered.any():
+            raise KsetsError("column indices must increase strictly within each row")
         if not np.isfinite(self.data).all():
             p = int(np.argmin(np.isfinite(self.data)))
             i, j = self._coordinates(p)

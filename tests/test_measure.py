@@ -9,9 +9,17 @@ from ksetsplus.errors import (
     DuplicateEntry,
     EmptySetInPartition,
     IndexOutOfRange,
+    KsetsError,
     NonFiniteValue,
     NonSquareInput,
     NotADistance,
+)
+from ksetsplus.experiments import (
+    SbmParams,
+    haversine_matrix,
+    random_sparse_similarity,
+    sbm_generate,
+    similarity_from_signed,
 )
 from ksetsplus.measure import (
     DataSet,
@@ -22,6 +30,7 @@ from ksetsplus.measure import (
     measure_of_sets,
     symmetrize,
 )
+from ksetsplus.transforms import induced_cohesion, lift_similarity
 
 from conftest import random_similarity_dense
 
@@ -159,11 +168,43 @@ class TestStorageInvariants:
         assert np.all(g.data != 0.0)
 
     def test_array_dtypes(self, semimetric3):
-        g = semimetric3
-        assert g.indptr.dtype == np.int64 and g.indptr.shape == (g.n + 1,)
-        assert g.indices.dtype == np.int64
-        assert g.data.dtype == np.float64
-        assert g.diag.dtype == np.float64 and g.diag.shape == (g.n,)
+        rng = np.random.default_rng(4)
+        dense = random_similarity_dense(rng, 6, density=0.5).to_dense()
+        graph = sbm_generate(SbmParams(60, 6, 3, 0.1, 0))
+        builders = {
+            "triples": semimetric3,
+            "from_dense": from_dense(dense),
+            "symmetrize": symmetrize(rng.uniform(-1, 1, size=(5, 5))),
+            "induced_cohesion": induced_cohesion(semimetric3).underlying,
+            "lift_similarity": lift_similarity(from_dense(dense), 10.0).underlying,
+            "haversine_matrix": haversine_matrix([(0, 0), (1, 2), (-3, 4)]),
+            "random_sparse": random_sparse_similarity(30, 4, 1, diagonal_fraction=0.3),
+            "similarity_from_signed": similarity_from_signed(graph),
+        }
+        for name, g in builders.items():
+            assert g.indptr.dtype == np.int64 and g.indptr.shape == (g.n + 1,)
+            assert g.indices.dtype == np.int64
+            assert g.data.dtype == np.float64
+            assert g.diag.dtype == np.float64 and g.diag.shape == (g.n,)
+            # The compiled pass reads raw pointers, and a view would pin
+            # its base array.
+            for array in (g.indptr, g.indices, g.data, g.diag):
+                assert array.flags.c_contiguous, name
+                assert array.base is None, name
+
+    @pytest.mark.parametrize(
+        "indptr, indices, error",
+        [
+            ([0, 1, 2], [1, 2], IndexOutOfRange),
+            ([0, 1, 2], [-1, 0], IndexOutOfRange),
+            ([0, 2, 2], [1, 0], KsetsError),
+            ([0, 2, 2], [1, 1], KsetsError),
+            ([0, 1, 3], [1, 0], ArityMismatch),
+        ],
+    )
+    def test_constructor_rejects_malformed_csr(self, indptr, indices, error):
+        with pytest.raises(error):
+            SparseSymmetricMeasure(2, "similarity", indptr, indices, [1.0, 2.0])
 
     def test_check_symmetry_catches_unmirrored_entry(self):
         g = SparseSymmetricMeasure(2, "similarity", [0, 1, 1], [1], [1.0])

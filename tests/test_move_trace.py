@@ -1,4 +1,4 @@
-"""Pinned move sequences of the pure-Python pass.
+"""Pinned move sequences of the pass, compiled and pure-Python.
 
 Each case runs passes to convergence from a seeded random-balanced start
 with the move trace on, and compares a fingerprint of the run with one
@@ -6,7 +6,8 @@ recorded from the list-of-tuples measure that preceded the CSR arrays:
 the sha256 of the move trace (first 16 hex digits), the move count of
 every pass, the op counters, the recomputed and the incremental
 objective (as float.hex), and the sha256 of the final point-to-set
-table. Any faster path must reproduce these bit for bit.
+table. The compiled kernel (behind run_pass) and the pure-Python
+reference both reproduce these bit for bit.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from ksetsplus.engine import (
+    _run_pass_reference,
     init_state,
     objective_value,
     random_balanced_partition,
@@ -113,12 +115,12 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _fingerprint(g, k, seed):
+def _fingerprint(g, k, seed, sweep):
     state = init_state(g, random_balanced_partition(g.n, k, seed))
     state.trace = []
     moves = []
     for _ in range(100):
-        moves.append(run_pass(state))
+        moves.append(sweep(state))
         if not moves[-1]:
             break
     return (
@@ -145,4 +147,9 @@ def _case(name):
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_move_sequence_is_pinned(name):
-    assert _fingerprint(*_case(name)) == PINS[name]
+    assert _fingerprint(*_case(name), run_pass) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_reference_move_sequence_is_pinned(name):
+    assert _fingerprint(*_case(name), _run_pass_reference) == PINS[name]
