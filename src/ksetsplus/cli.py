@@ -38,12 +38,12 @@ from .experiments import (
     similarity_from_signed,
 )
 from .measure import DataSet, Partition
-from .transforms import (
-    SemiCohesionMeasure,
-    induced_cohesion,
-    lift_similarity,
-    sigma_min,
-)
+from .transforms import SemiCohesionMeasure, lift_similarity, sigma_min
+
+# No command calls induced_cohesion: run() clusters a distance as -d.
+# The name stays importable here because perfbench/spans.py wraps
+# cli.induced_cohesion by name in every traced job, and counts its calls.
+from .transforms import induced_cohesion  # noqa: F401
 from .verify import pairwise_isolation_check
 
 EXIT_OK = 0
@@ -87,14 +87,10 @@ def _write_cluster_output(args, dataset: DataSet, result, extra=None):
 
 def cmd_cluster(args) -> int:
     measure, dataset = _load_measure(args)
-    if args.kind == "distance":
-        working = induced_cohesion(measure).underlying
-    else:
-        working = measure
     config = RunConfig(
         k=args.k, seed=args.seed, restarts=args.restarts, max_passes=args.max_passes
     )
-    result = run(working, config)
+    result = run(measure, config)
     _write_cluster_output(args, dataset, result, extra={"m": measure.m})
     print(
         f"clustered {dataset.n} points into {args.k} sets: "
@@ -107,20 +103,24 @@ def cmd_cluster(args) -> int:
 def cmd_verify(args) -> int:
     measure, dataset = _load_measure(args)
     sigma_used = None
-    if args.kind == "distance":
-        cohesion = induced_cohesion(measure)
-    elif args.kind == "similarity":
+    if args.kind == "similarity":
         sigma_used = sigma_min(measure)
-        cohesion = lift_similarity(measure, sigma_used)
-    else:
-        cohesion = SemiCohesionMeasure(measure)
+        measure = lift_similarity(measure, sigma_used)
+    elif args.kind == "cohesion":
+        measure = SemiCohesionMeasure(measure)
     labels, raw_assign = io.read_partition_tsv(args.partition)
     if len(raw_assign) != dataset.n:
         raise ArityMismatch(
             f"partition has {len(raw_assign)} rows, measure has {dataset.n} points"
         )
+    for i, label in enumerate(labels):
+        if label != dataset.label(i):
+            raise ArityMismatch(
+                f"partition row {i + 1} is labeled {label!r}, "
+                f"point {i} is {dataset.label(i)!r}"
+            )
     partition = Partition.from_assign(raw_assign).relabel_by_first_occurrence()
-    report = pairwise_isolation_check(cohesion, partition)
+    report = pairwise_isolation_check(measure, partition)
     if sigma_used is not None:
         print(f"sigma_used\t{sigma_used!r}")
     print("pairwise isolation slack matrix:")
@@ -207,12 +207,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_geo(args) -> int:
     points, dataset = io.load_geo_csv(args.points)
-    distances = haversine_matrix(points)
-    working = induced_cohesion(distances).underlying
     config = RunConfig(
         k=args.k, seed=args.seed, restarts=args.restarts, max_passes=args.max_passes
     )
-    result = run(working, config)
+    result = run(haversine_matrix(points), config)
     _write_cluster_output(args, dataset, result)
     print(
         f"clustered {dataset.n} locations into {args.k} sets: "

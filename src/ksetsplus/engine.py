@@ -296,7 +296,7 @@ def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
     if not 2 <= k <= n:
         raise KOutOfRange(f"k={k} outside [2, {n}]")
     perm = np.random.default_rng(seed).permutation(n)
-    return Partition.from_assign([int(p) % k for p in perm], k=k)
+    return Partition.from_assign((perm % k).tolist(), k=k)
 
 
 def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
@@ -341,8 +341,21 @@ def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
     incremental drift. Ties go to the lowest restart index. A run cut
     off by max_passes contributes the best per-pass snapshot it saw and
     is flagged converged=False.
+
+    A measure of kind "distance" is clustered as the similarity -d: it
+    shares the CSR structure and negates the values. Under the induced
+    cohesion the adjusted triangular distance of x to S is
+    2 dbar(x, S) - dbar(S, S), the same as under -d, so the passes make
+    the same moves without the dense n^2 transform. objective and
+    history are reported on the induced-cohesion scale, which adds
+    sum(d) / n: sum_k gamma(S_k, S_k) / |S_k| = sum(d) / n
+    - sum_k d(S_k, S_k) / |S_k|. An unstored pair is distance 0.
     """
     config.validate(g.n)
+    offset = 0.0
+    if g.kind == "distance":
+        offset = float(g.data.sum()) / g.n
+        g = SparseSymmetricMeasure(g.n, "similarity", g.indptr, g.indices, -g.data)
     best: RunResult | None = None
     for r in range(config.restarts):
         if config.init_partition is not None:
@@ -352,8 +365,9 @@ def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
         state = init_state(g, start)
         assign, history, passes, converged = _converge(state, config.max_passes)
         partition = Partition.from_assign(assign, k=config.k)
-        objective = objective_value(g, partition)
+        objective = objective_value(g, partition) + offset
         if best is None or objective > best.objective:
+            history = [h + offset for h in history]
             best = RunResult(partition, objective, passes, history, converged, r)
     assert best is not None
     return best

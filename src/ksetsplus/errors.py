@@ -66,7 +66,7 @@ class InvalidProbability(KsetsError):
 
 
 class ArityMismatch(KsetsError):
-    """Two inputs that must describe the same points disagree in size."""
+    """Two inputs that must describe the same points disagree in size or labels."""
 
 
 class CoordinateOutOfRange(KsetsError):

@@ -99,10 +99,12 @@ def load_geo_csv(path) -> tuple[list[GeoPoint], DataSet]:
     labels: list[str] = []
     points: list[GeoPoint] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for idx, record in enumerate(reader):
-            if not record or all(not cell.strip() for cell in record):
-                continue
+        records = (
+            record
+            for record in csv.reader(fh)
+            if record and any(cell.strip() for cell in record)
+        )
+        for idx, record in enumerate(records):
             if len(record) != 3:
                 raise ValueError(f"{path}: expected 'label,lat,lon', got {record!r}")
             if idx == 0:

@@ -326,17 +326,17 @@ class Partition:
 
     @classmethod
     def from_assign(cls, assign, k: int | None = None) -> "Partition":
-        assign = [int(a) for a in assign]
-        if not assign:
+        # astype truncates like int(); the list keeps Python ints.
+        values = np.asarray(assign).astype(np.int64)
+        if not values.size:
             raise EmptySetInPartition("empty assignment")
         if k is None:
-            k = max(assign) + 1
-        sizes = [0] * k
-        for a in assign:
-            if not 0 <= a < k:
-                raise IndexOutOfRange(f"set index {a} outside [0, {k})")
-            sizes[a] += 1
-        part = cls(assign, k, sizes)
+            k = int(values.max()) + 1
+        outside = (values < 0) | (values >= k)
+        if outside.any():
+            a = int(values[np.argmax(outside)])
+            raise IndexOutOfRange(f"set index {a} outside [0, {k})")
+        part = cls(values.tolist(), k, np.bincount(values, minlength=k).tolist())
         part.validate()
         return part
 
@@ -362,10 +362,9 @@ class Partition:
             raise ArityMismatch("sizes length differs from k")
         if sum(self.sizes) != len(self.assign):
             raise ArityMismatch("sizes do not sum to n")
-        recount = [0] * self.k
-        for a in self.assign:
-            recount[a] += 1
-        if recount != self.sizes:
+        assign = np.asarray(self.assign, dtype=np.int64)
+        in_range = not assign.size or (assign.min() >= 0 and assign.max() < self.k)
+        if not in_range or np.bincount(assign, minlength=self.k).tolist() != self.sizes:
             raise ArityMismatch("sizes inconsistent with assignment")
         if any(s == 0 for s in self.sizes):
             empty = self.sizes.index(0)

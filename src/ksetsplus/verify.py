@@ -10,8 +10,9 @@ sets, the two-set form
 
     2 dbar(S_i, S_j) - dbar(S_i, S_i) - dbar(S_j, S_j) >= 0
 
-meaning any two sets are clusters when viewed in isolation. Everything
-here runs on dense copies and is meant for verification-scale inputs.
+meaning any two sets are clusters when viewed in isolation. is_cluster
+runs on a dense copy; pairwise_isolation_check sums stored entries in
+O(m + n + K^2), after the dense validation of a semi-cohesion input.
 """
 
 from __future__ import annotations
@@ -129,23 +130,36 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     The slack for sets (i, j) is 2 dbar(S_i, S_j) - dbar(S_i, S_i)
     - dbar(S_j, S_j) under the dual semi-metric; a converged engine
     partition on a semi-cohesion measure never goes negative.
+
+    g is a semi-cohesion measure or a measure of kind "distance", which
+    is its own dual semi-metric (an unstored pair is distance 0). The
+    block sums B of the dual come from the stored entries: with Gamma
+    the block sums of g, B = Gamma for a distance, and for a
+    semi-cohesion measure d(x, y) = (g(x, x) + g(y, y)) / 2 - g(x, y)
+    gives B = (D s^T + s D^T) / 2 - Gamma, where D holds the per-set
+    sums of the diagonal and s the set sizes.
     """
-    g = _as_cohesion(g)
+    distance = isinstance(g, SparseSymmetricMeasure) and g.kind == "distance"
+    measure = g if distance else _as_cohesion(g).underlying
     partition.validate()
-    n = g.n
+    n = measure.n
     if partition.n != n:
         raise ArityMismatch(
             f"partition covers {partition.n} points, measure has {n}"
         )
     k = partition.k
-    dense = g.underlying.to_dense()
-    diag = g.underlying.diag
-    dist = (diag[:, None] + diag[None, :]) / 2.0 - dense
-
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), partition.assign] = 1.0
-    block_sums = onehot.T @ dist @ onehot
+    assign = np.asarray(partition.assign, dtype=np.int64)
+    block_sums = np.bincount(
+        assign[measure.entry_rows()] * k + assign[measure.indices],
+        weights=measure.data,
+        minlength=k * k,
+    ).reshape(k, k)
     sizes = np.asarray(partition.sizes, dtype=float)
+    if not distance:
+        diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
+        block_sums = (
+            np.outer(diag_sums, sizes) + np.outer(sizes, diag_sums)
+        ) / 2.0 - block_sums
     dbar = block_sums / np.outer(sizes, sizes)
 
     slack = 2.0 * dbar - dbar.diagonal()[:, None] - dbar.diagonal()[None, :]

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from ksetsplus import cli, transforms
 from ksetsplus.cli import main
+from ksetsplus.measure import SparseSymmetricMeasure
 
 from conftest import all_two_partition_assigns, brute_objective, triangle_violating_semimetric
 from ksetsplus.transforms import induced_cohesion
@@ -153,6 +155,27 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    def test_rows_out_of_point_order_are_exit_2(self, tmp_path, edges3, capsys):
+        # A valid split, {0, 1} and {2}, listed in reverse point order.
+        part = tmp_path / "part.tsv"
+        part.write_text("2\t1\n1\t0\n0\t0\n")
+        code = main(
+            ["verify", "--input", edges3, "--kind", "distance",
+             "--partition", str(part)]
+        )
+        assert code == 2
+        assert "row 1 is labeled '2', point 0 is '0'" in capsys.readouterr().err
+
+    def test_unknown_labels_are_exit_2(self, tmp_path, edges3, capsys):
+        part = tmp_path / "part.tsv"
+        part.write_text("x\t0\ny\t0\nz\t1\n")
+        code = main(
+            ["verify", "--input", edges3, "--kind", "distance",
+             "--partition", str(part)]
+        )
+        assert code == 2
+        assert "'x'" in capsys.readouterr().err
+
     def test_singletons_on_zero_measure(self, tmp_path):
         edges = tmp_path / "zero.txt"
         edges.write_text("# all-zero measure on two points\n")
@@ -234,3 +257,26 @@ class TestOtherCommands:
         assert rows["paris"] == rows["brussels"]
         assert rows["sydney"] == rows["melbourne"]
         assert rows["paris"] != rows["sydney"]
+
+
+def test_distance_commands_build_no_dense_cohesion(tmp_path, edges3, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense transform on a distance path")
+
+    monkeypatch.setattr(SparseSymmetricMeasure, "to_dense", forbidden)
+    monkeypatch.setattr(transforms, "induced_cohesion", forbidden)
+    monkeypatch.setattr(cli, "induced_cohesion", forbidden)
+    part = tmp_path / "part.tsv"
+    assert main(
+        ["cluster", "--input", edges3, "--kind", "distance", "--k", "2",
+         "--restarts", "3", "--output", str(part)]
+    ) == 0
+    assert main(
+        ["verify", "--input", edges3, "--kind", "distance",
+         "--partition", str(part)]
+    ) == 0
+    pts = tmp_path / "pts.csv"
+    pts.write_text("paris,48.85,2.35\nbrussels,50.85,4.35\nsydney,-33.87,151.21\n")
+    assert main(
+        ["geo", "--points", str(pts), "--k", "2", "--output", str(tmp_path / "geo.tsv")]
+    ) == 0

@@ -93,6 +93,12 @@ class TestGeoCsv:
         assert dataset.labels == ("paris", "sydney")
         assert points[0].lat == 48.85
 
+    def test_header_after_blank_line(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("\nlabel,lat,lon\nparis,48.85,2.35\nsydney,-33.87,151.21\n")
+        points, dataset = load_geo_csv(path)
+        assert dataset.labels == ("paris", "sydney")
+
     def test_without_header(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("a,1.0,2.0\nb,3.0,4.0\n")

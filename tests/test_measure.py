@@ -327,6 +327,72 @@ class TestPartition:
                 assert same_before == same_after
 
 
+def from_assign_loop(assign, k=None):
+    """The per-point loop from_assign counted with: its reference."""
+    assign = [int(a) for a in assign]
+    if not assign:
+        raise EmptySetInPartition("empty assignment")
+    if k is None:
+        k = max(assign) + 1
+    sizes = [0] * k
+    for a in assign:
+        if not 0 <= a < k:
+            raise IndexOutOfRange(f"set index {a} outside [0, {k})")
+        sizes[a] += 1
+    if any(s == 0 for s in sizes):
+        raise EmptySetInPartition(f"set {sizes.index(0)} is empty")
+    return assign, k, sizes
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KsetsError as exc:
+        return type(exc), str(exc)
+
+
+class TestPartitionCounting:
+    @given(
+        st.lists(st.integers(-2, 5), max_size=12),
+        st.one_of(st.none(), st.integers(1, 5)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_assign_matches_loop(self, raw, k):
+        def vectorized(raw, k):
+            p = Partition.from_assign(raw, k=k)
+            return p.assign, p.k, p.sizes
+
+        assert _outcome(vectorized, raw, k) == _outcome(from_assign_loop, raw, k)
+
+    def test_from_assign_keeps_python_ints(self):
+        p = Partition.from_assign(np.array([1, 0, 1]))
+        assert p.assign == [1, 0, 1] and type(p.assign[0]) is int
+        assert p.sizes == [1, 2] and type(p.sizes[0]) is int
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_validate_matches_loop(self, raw, data):
+        k = max(raw) + 1
+        sizes = [raw.count(c) for c in range(k)]
+        # Move one count between sets (sums stay equal), or none.
+        a, b = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        sizes[a] += 1
+        sizes[b] -= 1
+        recount = [raw.count(c) for c in range(k)]
+        if recount != sizes:
+            expected = (ArityMismatch, "sizes inconsistent with assignment")
+        elif 0 in sizes:
+            expected = (EmptySetInPartition, f"set {sizes.index(0)} is empty")
+        else:
+            expected = None
+        assert _outcome(Partition(raw, k, sizes).validate) == expected
+
+    @pytest.mark.parametrize("bad", [[0, 1, 2], [0, 1, -1]])
+    def test_validate_rejects_set_index_outside_k(self, bad):
+        with pytest.raises(ArityMismatch):
+            Partition(bad, 2, [1, 2]).validate()
+
+
 class TestDataSet:
     def test_labels_must_match_n(self):
         with pytest.raises(ArityMismatch):

@@ -3,11 +3,52 @@ import pytest
 
 from ksetsplus.engine import RunConfig, run
 from ksetsplus.errors import EmptySet
-from ksetsplus.measure import Partition, build_from_triples, from_dense
-from ksetsplus.transforms import induced_cohesion, lift_similarity, sigma_min
+from ksetsplus.measure import (
+    Partition,
+    SparseSymmetricMeasure,
+    build_from_triples,
+    from_dense,
+)
+from ksetsplus.transforms import (
+    SemiCohesionMeasure,
+    induced_cohesion,
+    lift_similarity,
+    sigma_min,
+)
 from ksetsplus.verify import is_cluster, pairwise_isolation_check
 
-from conftest import nonempty_subsets, random_cohesion, random_similarity_dense
+from conftest import (
+    nonempty_subsets,
+    random_cohesion,
+    random_partition,
+    random_semimetric,
+    random_similarity_dense,
+)
+
+
+def sparse_semimetric(rng, n: int, density: float) -> SparseSymmetricMeasure:
+    """Random semi-metric whose unstored pairs are distance 0."""
+    upper = np.triu(rng.uniform(0.0, 10.0, size=(n, n)), k=1)
+    upper *= np.triu(rng.random((n, n)) < density, k=1)
+    return from_dense(upper + upper.T, kind="distance")
+
+
+def dense_isolation_slack(g, partition: Partition) -> np.ndarray:
+    """Slack matrix from the dense dual semi-metric and a one-hot matmul:
+    the oracle for the check's sums over stored entries."""
+    if isinstance(g, SparseSymmetricMeasure) and g.kind == "distance":
+        dist = g.to_dense()
+    else:
+        cohesion = g.underlying if isinstance(g, SemiCohesionMeasure) else g
+        diag = cohesion.diag
+        dist = (diag[:, None] + diag[None, :]) / 2.0 - cohesion.to_dense()
+    onehot = np.zeros((g.n, partition.k))
+    onehot[np.arange(g.n), partition.assign] = 1.0
+    sizes = np.asarray(partition.sizes, dtype=float)
+    dbar = (onehot.T @ dist @ onehot) / np.outer(sizes, sizes)
+    slack = 2.0 * dbar - dbar.diagonal()[:, None] - dbar.diagonal()[None, :]
+    np.fill_diagonal(slack, 0.0)
+    return slack
 
 
 class TestIsCluster:
@@ -110,3 +151,62 @@ class TestPairwiseIsolation:
         )
         assert report.slack.shape == (2, 2)
         assert report.argmin in ((0, 1), (1, 0))
+
+    def test_distance_input_is_its_own_dual(self, semimetric3, cohesion3):
+        part = Partition.from_assign([0, 1, 1], k=2)
+        direct = pairwise_isolation_check(semimetric3, part)
+        induced = pairwise_isolation_check(cohesion3, part)
+        assert direct.min_slack == pytest.approx(induced.min_slack, abs=1e-12)
+        assert direct.argmin == induced.argmin
+
+
+class TestIsolationMatchesDenseOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_slacks_agree(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(4, 30))
+        k = int(rng.integers(2, min(n, 6) + 1))
+        distance = sparse_semimetric(rng, n, density=float(rng.uniform(0.2, 1.0)))
+        similarity = random_similarity_dense(rng, n, density=0.6)
+        inputs = {
+            "distance": distance,
+            "induced": induced_cohesion(distance),
+            "induced_underlying": induced_cohesion(random_semimetric(rng, n)).underlying,
+            "lifted": lift_similarity(similarity, sigma_min(similarity) + 0.5),
+        }
+        part = random_partition(rng, n, k)
+        for name, g in inputs.items():
+            report = pairwise_isolation_check(g, part)
+            oracle = dense_isolation_slack(g, part)
+            scale = max(1.0, float(np.abs(oracle).max()))
+            np.testing.assert_allclose(
+                report.slack, oracle, rtol=1e-9, atol=1e-9 * scale, err_msg=name
+            )
+
+    def test_unstored_pairs_are_distance_zero(self):
+        # Only (0, 1) is stored; (0, 2) and (1, 2) are distance 0.
+        d = build_from_triples(3, [(0, 1, 4.0)], kind="distance")
+        part = Partition.from_assign([0, 0, 1], k=2)
+        report = pairwise_isolation_check(d, part)
+        # dbar(S0,S0) = 8/4, dbar(S0,S1) = 0, dbar(S1,S1) = 0.
+        assert report.min_slack == pytest.approx(-2.0, abs=1e-12)
+
+
+class TestRunOnDistances:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_induced_cohesion(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        n = int(rng.integers(8, 40))
+        k = int(rng.integers(2, 6))
+        if seed % 2:
+            d = random_semimetric(rng, n)
+        else:
+            d = sparse_semimetric(rng, n, density=0.5)
+        config = RunConfig(k=k, seed=seed, restarts=3)
+        direct = run(d, config)
+        induced = run(induced_cohesion(d).underlying, config)
+        # Restarts that tie to an ulp may pick different partitions, so
+        # the objectives and the isolation guarantee are compared.
+        assert direct.objective == pytest.approx(induced.objective, rel=1e-9, abs=1e-9)
+        assert direct.history[-1] == pytest.approx(direct.objective, rel=1e-9)
+        assert pairwise_isolation_check(d, direct.partition).ok(1e-9)
