@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArityMismatch, NonSquareInput
+from .errors import ArityMismatch, IndexOutOfRange, NonSquareInput
 from .experiments import GeoPoint, SignedGraph
 from .measure import (
     DataSet,
@@ -18,6 +19,17 @@ from .measure import (
 )
 
 
+def _loadtxt(path, source, **options) -> np.ndarray:
+    """np.loadtxt into a 2-D float64 array; a parse error names the path."""
+    try:
+        with warnings.catch_warnings():
+            # Callers report empty input themselves.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(source, ndmin=2, encoding="utf-8", **options)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_edge_list(
     path, kind: str = "similarity", n: int | None = None
 ) -> tuple[SparseSymmetricMeasure, DataSet]:
@@ -26,22 +38,16 @@ def load_edge_list(
     The point count is max index + 1 unless n is given. Symmetric
     closure is applied: each triple also stands for its mirror.
     """
-    triples: list[tuple[int, int, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'i j value', got {stripped!r}"
-                )
-            triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    triples = _loadtxt(path, path, comments="#")
+    if triples.size and triples.shape[1] != 3:
+        raise ValueError(f"{path}: expected 'i j value', got {triples.shape[1]} fields")
     if n is None:
-        if not triples:
+        if not triples.size:
             raise ValueError(f"{path}: no triples and no explicit point count")
-        n = max(max(i, j) for i, j, _ in triples) + 1
+        top = triples[:, :2].max()
+        if not np.isfinite(top):
+            raise IndexOutOfRange(f"{path}: point index {top} is not finite")
+        n = int(top) + 1
     measure = build_from_triples(n, triples, kind=kind)
     return measure, DataSet(n)
 
@@ -64,21 +70,19 @@ def load_dense_csv(
     header: bool = False,
     average_asymmetric: bool = False,
 ) -> tuple[SparseSymmetricMeasure, DataSet]:
-    """Read a dense square CSV matrix, optionally labeled by a header row."""
-    labels: tuple[str, ...] | None = None
-    rows: list[list[float]] = []
+    """Read a dense square CSV matrix, optionally labeled by a header row.
+
+    The header is the first non-blank record; `#` starts a comment.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for record in reader:
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if header and labels is None:
-                labels = tuple(cell.strip() for cell in record)
-                continue
-            rows.append([float(cell) for cell in record])
-    if not rows:
+        records = (r for r in csv.reader(fh) if any(cell.strip() for cell in r))
+        record = next(records, None) if header else None
+        labels = None if record is None else tuple(cell.strip() for cell in record)
+        # With delimiter=",", loadtxt skips empty lines but not blank ones.
+        body = (line for line in fh if not line.isspace())
+        matrix = _loadtxt(path, body, delimiter=",", quotechar='"')
+    if not matrix.size:
         raise ValueError(f"{path}: empty matrix")
-    matrix = np.asarray(rows)
     if matrix.shape[0] != matrix.shape[1]:
         raise NonSquareInput(
             f"{path}: matrix is {matrix.shape[0]}x{matrix.shape[1]}"
@@ -120,9 +124,10 @@ def load_geo_csv(path) -> tuple[list[GeoPoint], DataSet]:
 
 
 def write_partition_tsv(path, dataset: DataSet, assign):
+    labels = range(dataset.n) if dataset.labels is None else dataset.labels
+    lines = [f"{label}\t{k}\n" for label, k in zip(labels, assign, strict=True)]
     with open(path, "w", encoding="utf-8") as fh:
-        for i, cluster in enumerate(assign):
-            fh.write(f"{dataset.label(i)}\t{cluster}\n")
+        fh.write("".join(lines))
 
 
 def read_partition_tsv(path) -> tuple[list[str], list[int]]:

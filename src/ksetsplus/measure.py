@@ -30,10 +30,6 @@ from .errors import (
 
 KINDS = ("similarity", "distance", "cohesion")
 
-# Indices are read as floats so that a fractional index is caught, not
-# truncated.
-_TRIPLE = np.dtype([("i", np.float64), ("j", np.float64), ("v", np.float64)])
-
 
 @dataclass(frozen=True)
 class DataSet:
@@ -201,22 +197,29 @@ def _from_coo(n: int, kind: str, rows, cols, vals) -> SparseSymmetricMeasure:
 def build_from_triples(
     n: int, triples, kind: str = "similarity"
 ) -> SparseSymmetricMeasure:
-    """Build a measure from (i, j, value) triples.
+    """Build a measure from (i, j, value) triples: an (N, 3) array or rows.
 
     Each unordered pair may be given once per orientation; if both
     orientations appear their values must agree. Exact zeros are dropped
     from storage. Index errors are reported before duplicates, and
     duplicates before conflicting mirror values.
     """
-    t = np.fromiter(map(tuple, triples), dtype=_TRIPLE)
-    i, j, v = t["i"].astype(np.int64), t["j"].astype(np.int64), t["v"]
-    if not (np.array_equal(i, t["i"]) and np.array_equal(j, t["j"])):
+    # Indices are read as floats so that a fractional index is caught, not
+    # truncated.
+    t = np.asarray(triples, dtype=np.float64)
+    if not t.size:
+        t = t.reshape(0, 3)
+    elif t.ndim != 2 or t.shape[1] != 3:
+        raise ArityMismatch(f"expected (i, j, value) triples, got shape {t.shape}")
+    fi, fj, v = t[:, 0], t[:, 1], t[:, 2]
+    if not (np.array_equal(np.floor(fi), fi) and np.array_equal(np.floor(fj), fj)):
         raise IndexOutOfRange("point indices must be integers")
-    outside = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+    outside = (fi < 0) | (fi >= n) | (fj < 0) | (fj >= n)
     if outside.any():
         p = int(np.argmax(outside))
-        _check_index(int(i[p]), n)
-        _check_index(int(j[p]), n)
+        bad = fi[p] if not 0 <= fi[p] < n else fj[p]
+        raise IndexOutOfRange(f"point index {bad:.0f} outside [0, {n})")
+    i, j = fi.astype(np.int64), fj.astype(np.int64)
     # Sort by unordered pair, then orientation, so both orientations of a
     # pair are adjacent and a repeated orientation is adjacent to itself.
     lo = np.minimum(i, j)
@@ -289,7 +292,10 @@ def symmetrize(raw, kind: str = "similarity") -> SparseSymmetricMeasure:
     is how an asymmetric latency matrix is turned into a semi-metric.
     """
     a = _square(raw)
-    return _from_dense_unchecked((a + a.T) / 2.0, kind)
+    # An overflow to inf is reported by the constructor as NonFiniteValue.
+    with np.errstate(over="ignore"):
+        mean = (a + a.T) / 2.0
+    return _from_dense_unchecked(mean, kind)
 
 
 def measure_of_sets(g: SparseSymmetricMeasure, s1, s2) -> float:
@@ -385,10 +391,9 @@ class Partition:
 
     def relabel_by_first_occurrence(self) -> "Partition":
         """Renumber sets in order of first appearance along the points."""
-        remap: dict[int, int] = {}
-        new_assign = []
-        for a in self.assign:
-            if a not in remap:
-                remap[a] = len(remap)
-            new_assign.append(remap[a])
-        return Partition.from_assign(new_assign, k=self.k)
+        _, first, inverse = np.unique(
+            self.assign, return_index=True, return_inverse=True
+        )
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return Partition.from_assign(rank[inverse], k=self.k)

@@ -97,6 +97,28 @@ class TestClusterCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("two_fields.txt", "0 1 1\n1 2\n"),
+            ("word_value.txt", "0 1 1\n1 2 high\n"),
+            ("ragged.csv", "0,1,2\n1,0\n2,3,0\n"),
+        ],
+        ids=["two_fields", "word_value", "ragged_dense"],
+    )
+    def test_parse_error_names_the_file(self, tmp_path, capsys, name, text):
+        bad = tmp_path / name
+        bad.write_text(text)
+        out = tmp_path / "o.tsv"
+        fmt = "dense" if name.endswith(".csv") else "edges"
+        code = main(
+            ["cluster", "--input", str(bad), "--format", fmt, "--k", "2",
+             "--output", str(out)]
+        )
+        assert code == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_dense_symmetrize_is_exit_2(self, tmp_path):
         dense = tmp_path / "nan.csv"
         dense.write_text("0,1,nan\n2,0,3\n4,5,0\n")

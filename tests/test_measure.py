@@ -76,6 +76,15 @@ class TestBuildFromTriples:
         with pytest.raises(IndexOutOfRange):
             build_from_triples(2, [(0.5, 1, 1.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_index_rejected(self, bad):
+        with pytest.raises(IndexOutOfRange):
+            build_from_triples(2, np.array([[0.0, 1.0, 1.0], [bad, 1.0, 1.0]]))
+
+    def test_array_of_wrong_width_rejected(self):
+        with pytest.raises(ArityMismatch):
+            build_from_triples(3, np.array([[0.0, 1.0], [1.0, 2.0], [0.0, 2.0]]))
+
     def test_diagonal_stored_once(self):
         g = build_from_triples(2, [(0, 0, 3.0), (0, 1, 1.0)])
         assert g.m == 3
@@ -230,6 +239,10 @@ class TestNonFinite:
         with pytest.raises(NonFiniteValue):
             symmetrize([[0.0, np.nan], [1.0, 0.0]])
 
+    def test_symmetrize_overflow(self):
+        with pytest.raises(NonFiniteValue):
+            symmetrize([[0.0, 1.7e308], [1.7e308, 0.0]])
+
 
 def naive_build(n, triples):
     """Dict-based reference builder: {(i, j): value} with mirrors and no zeros.
@@ -290,6 +303,32 @@ class TestBuilderProperty:
                 assert g.value(i, j) == expected.get((i, j), 0.0)
         assert np.all(g.data != 0.0)
 
+    @given(triple_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_array_input_matches_rows(self, case):
+        n, triples = case
+        table = np.array(triples, dtype=np.float64).reshape(-1, 3)
+        try:
+            expected = build_from_triples(n, triples)
+        except KsetsError as exc:
+            with pytest.raises(type(exc)):
+                build_from_triples(n, table)
+            return
+        g = build_from_triples(n, table)
+        for name in ("indptr", "indices", "data", "diag"):
+            assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def relabel_loop(assign):
+    """The dict loop that np.unique replaced in relabel_by_first_occurrence."""
+    remap = {}
+    new_assign = []
+    for a in assign:
+        if a not in remap:
+            remap[a] = len(remap)
+        new_assign.append(remap[a])
+    return new_assign
+
 
 class TestPartition:
     def test_from_assign(self):
@@ -325,6 +364,15 @@ class TestPartition:
                 same_before = p.assign[i] == p.assign[j]
                 same_after = q.assign[i] == q.assign[j]
                 assert same_before == same_after
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_relabel_matches_old_loop(self, raw):
+        p = Partition.from_assign(raw + list(range(6)), k=6)
+        q = p.relabel_by_first_occurrence()
+        assert q.assign == relabel_loop(p.assign)
+        assert all(type(a) is int for a in q.assign)
+        assert q.sizes == Partition.from_assign(q.assign, k=6).sizes
 
 
 def from_assign_loop(assign, k=None):
