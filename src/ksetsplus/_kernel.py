@@ -1,16 +1,20 @@
-"""Build, cache and load the compiled pass kernel (``_pass.c``) on first use.
+"""Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The kernel is compiled once with the system C compiler into a shared
-library cached under ``$XDG_CACHE_HOME/ksetsplus`` (default
-``~/.cache/ksetsplus``). The file name carries a key, a sha256 of the
-source and the compiler command, and the key is also compiled into the
-library: a cached file that does not hold its key (truncated, corrupt or
+The library holds three routines: ``ksets_pass`` (one engine pass),
+``ksets_scatter`` (the point-to-set table and the K x K block sums) and
+``ksets_within`` (the per-set self-sums of the objective). The library is
+compiled once with the system C compiler and cached under
+``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
+name carries a key, a sha256 of the source and the compiler command, and
+the key is also compiled into the library: a cached file that does not hold its key (truncated, corrupt or
 built from other source) is rebuilt rather than loaded. When no library
-can be built, ``load`` logs one WARNING and returns None, and the engine
-runs its pure-Python pass instead.
+can be built, ``load`` logs one WARNING and returns None, and every caller
+runs its numpy or pure-Python reference instead.
 
-This module is imported on the first pass, not with the package, so that
-importing ksetsplus neither loads it nor starts a compiler.
+The routines read raw pointers: callers pass C-contiguous arrays of the
+declared dtypes and check sizes and set indices first. This module is
+imported on first use, not with the package, so that importing ksetsplus
+neither loads it nor starts a compiler.
 """
 
 from __future__ import annotations
@@ -30,18 +34,28 @@ import numpy as np
 logger = logging.getLogger("ksetsplus.engine")
 
 SOURCE = Path(__file__).with_name("_pass.c")
-# No -ffast-math or -march: the kernel must round exactly like the Python
-# pass, and -ffp-contract=off keeps the compiler from fusing into FMAs.
+# No -ffast-math or -march: the kernel must round exactly like the reference
+# code, and -ffp-contract=off keeps the compiler from fusing into FMAs.
 COMMAND = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_ARGTYPES = (
-    [ctypes.c_int64, ctypes.c_int64]  # n, k
-    + [_I64, _I64, _F64, _F64]  # indptr, indices, data, diag
-    + [_I64, _I64, _F64, _F64]  # assign, sizes, gbar, point-to-set rows
-    + [_F64, _I64, ctypes.c_void_p]  # objective, ops, trace or NULL
-)
+_CSR = [_I64, _I64, _F64]  # indptr, indices, data
+# name: (restype, argtypes)
+_ROUTINES = {
+    "ksets_pass": (
+        ctypes.c_int64,
+        [ctypes.c_int64, ctypes.c_int64, *_CSR, _F64]  # n, k, CSR, diag
+        + [_I64, _I64, _F64, _F64]  # assign, sizes, gbar, point-to-set rows
+        + [_F64, _I64, ctypes.c_void_p],  # objective, ops, trace or NULL
+    ),
+    "ksets_scatter": (
+        None,
+        # n, k, CSR, assign, key or NULL, out
+        [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, ctypes.c_void_p, _F64],
+    ),
+    "ksets_within": (None, [ctypes.c_int64, *_CSR, _I64, _F64]),  # n, CSR, assign, out
+}
 
 
 def _cache_dir() -> Path:
@@ -51,21 +65,24 @@ def _cache_dir() -> Path:
 
 @functools.cache
 def load():
-    """The kernel as a ctypes function, or None if it cannot be built."""
+    """The typed ctypes library, or None if it cannot be built."""
     try:
         path = build(_cache_dir())
-        kernel = ctypes.CDLL(str(path)).ksets_pass
+        library = ctypes.CDLL(str(path))
     except subprocess.CalledProcessError as exc:
         lines = exc.stderr.strip().splitlines()
         reason = lines[0] if lines else f"exit status {exc.returncode}"
     except (OSError, subprocess.SubprocessError) as exc:
         reason = str(exc)
     else:
-        kernel.argtypes = _ARGTYPES
-        kernel.restype = ctypes.c_int64
-        logger.debug("pass implementation: compiled kernel %s", path)
-        return kernel
-    logger.warning("cannot build the compiled pass, using the Python pass: %s", reason)
+        for name, (restype, argtypes) in _ROUTINES.items():
+            routine = getattr(library, name)
+            routine.restype, routine.argtypes = restype, argtypes
+        logger.debug("compiled kernel: %s", path)
+        return library
+    logger.warning(
+        "cannot build the compiled kernel, using the Python reference: %s", reason
+    )
     return None
 
 

@@ -1,19 +1,23 @@
-/* One K-sets+ pass over a CSR measure: the compiled twin of
- * ksetsplus.engine._run_pass_reference.
+/* The compiled K-sets+ kernels over a CSR measure, the twins of
+ * ksetsplus.engine._run_pass_reference, _point_to_set_reference and
+ * _within_set_sums_reference and of verify._block_sums_reference.
  *
  * Every expression keeps the reference's operation order and int-to-double
  * conversions, and the build passes -ffp-contract=off, so moves, tables and
- * the objective match the Python pass bit for bit. rows is the n-by-k
- * point-to-set table, ops receives the pass's (ops_delta, ops_update) and
- * trace, when not NULL, receives (x, src, dst) per move (room for 3n).
+ * sums match the numpy and Python code bit for bit. The callers check that
+ * assign covers the measure's n points with set indices in [0, k).
  */
 #include <stdint.h>
+#include <string.h>
 
 #ifndef KSETS_PASS_KEY
 #define KSETS_PASS_KEY "unkeyed"
 #endif
 const char ksets_pass_key[] = "ksetsplus-pass-key:" KSETS_PASS_KEY;
 
+/* One pass. rows is the n-by-k point-to-set table, ops receives the pass's
+ * (ops_delta, ops_update) and trace, when not NULL, receives (x, src, dst)
+ * per move (room for 3n). */
 int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
                    const int64_t *indices, const double *data,
                    const double *diag, int64_t *assign, int64_t *sizes,
@@ -66,4 +70,44 @@ int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
         moves++;
     }
     return moves;
+}
+
+/* out[key(r) * k + assign[indices[p]]] += data[p] in entry order, with
+ * key(r) = r when key is NULL (the n-by-k point-to-set table) and
+ * key(r) = key[r] otherwise (the k-by-k block sums for key = assign).
+ * This is the order in which np.bincount adds the same weights. */
+void ksets_scatter(int64_t n, int64_t k, const int64_t *indptr,
+                   const int64_t *indices, const double *data,
+                   const int64_t *assign, const int64_t *key, double *out)
+{
+    for (int64_t r = 0; r < n; r++) {
+        double *row = out + (key ? key[r] : r) * k;
+        for (int64_t p = indptr[r]; p < indptr[r + 1]; p++)
+            row[assign[indices[p]]] += data[p];
+    }
+}
+
+/* out[assign[r]] += (sum of row r's entries inside r's own set), the row
+ * sums each in entry order, then added to their sets in row order.
+ *
+ * An entry outside the set adds +0.0 (its bits masked to zero) instead of
+ * being skipped, which avoids a mispredicted branch per entry. That is
+ * exact: a sum that starts at +0.0 never becomes -0.0, and x + 0.0 == x
+ * for every other x. */
+void ksets_within(int64_t n, const int64_t *indptr, const int64_t *indices,
+                  const double *data, const int64_t *assign, double *out)
+{
+    for (int64_t r = 0; r < n; r++) {
+        int64_t a = assign[r];
+        double sum = 0.0;
+        for (int64_t p = indptr[r]; p < indptr[r + 1]; p++) {
+            uint64_t bits;
+            double value;
+            memcpy(&bits, data + p, sizeof bits);
+            bits &= -(uint64_t)(assign[indices[p]] == a);
+            memcpy(&value, &bits, sizeof value);
+            sum += value;
+        }
+        out[a] += sum;
+    }
 }

@@ -17,9 +17,11 @@ passes on exact arithmetic; max_passes guards against float near-ties.
 point_to_set is held as one flat unboxed double buffer (row-major n by
 k); the compact layout keeps passes cache-friendly at n in the tens of
 thousands. assign and sizes are int64 arrays and gbar a float64 array,
-so the compiled pass kernel (_pass.c) updates all of them in place; the
-pure-Python pass is kept as its bit-exact reference and as the fallback
-when no kernel can be built.
+so the compiled pass kernel (_pass.c) updates all of them in place. The
+same library builds the point-to-set table and sums the objective from
+scratch. The pure-Python pass and the numpy table and objective sums are
+kept as the kernel's bit-exact references and as the fallback when no
+kernel can be built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySetInPartition, KOutOfRange, KsetsError, WouldEmptySet
+from .errors import (
+    ArityMismatch,
+    EmptySetInPartition,
+    KOutOfRange,
+    KsetsError,
+    WouldEmptySet,
+)
 from .measure import Partition, SparseSymmetricMeasure, _check_index
 
 NEG_INF = float("-inf")
@@ -107,13 +115,7 @@ class EngineState:
         self.k = partition.k
         n, k = measure.n, partition.k
         assign = self.assign
-        # bincount accumulates in entry order, so each table cell sums its
-        # terms in the same order as a row-by-row scan would.
-        table = np.bincount(
-            measure.entry_rows() * k + assign[measure.indices],
-            weights=measure.data,
-            minlength=n * k,
-        )
+        table = _point_to_set(measure, assign, k)
         own = table[np.arange(n) * k + assign]
         set_self = np.bincount(assign, weights=own, minlength=k).tolist()
         sizes = partition.sizes
@@ -135,6 +137,35 @@ class EngineState:
 def init_state(g: SparseSymmetricMeasure, partition: Partition) -> EngineState:
     """Build the cached tables from scratch in O(Kn + m)."""
     return EngineState(g, partition)
+
+
+def _point_to_set(
+    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
+) -> np.ndarray:
+    """Flat n-by-k table of gamma(x_i, S_c), each cell summed in entry order.
+
+    assign is an int64 array of g.n set indices in [0, k), checked by the
+    caller; the compiled kernel reads it through a raw pointer.
+    """
+    from ._kernel import load
+
+    library = load()
+    if library is None:
+        return _point_to_set_reference(g, assign, k)
+    table = np.zeros(g.n * k)
+    library.ksets_scatter(g.n, k, g.indptr, g.indices, g.data, assign, None, table)
+    return table
+
+
+def _point_to_set_reference(
+    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
+) -> np.ndarray:
+    """numpy ``_point_to_set``: the compiled kernel's oracle and fallback."""
+    # bincount accumulates in entry order, so each table cell sums its
+    # terms in the same order as a row-by-row scan would.
+    return np.bincount(
+        g.entry_rows() * k + assign[g.indices], weights=g.data, minlength=g.n * k
+    )
 
 
 def fast_adjusted_delta(state: EngineState, x: int, k: int) -> float:
@@ -226,14 +257,14 @@ def run_pass(state: EngineState) -> int:
     """
     from ._kernel import load
 
-    kernel = load()
-    if kernel is None:
+    library = load()
+    if library is None:
         return _run_pass_reference(state)
     g = state.measure
     objective = np.array([state.objective])
     ops = np.zeros(2, dtype=np.int64)
     trace = None if state.trace is None else np.empty(3 * g.n, dtype=np.int64)
-    moves = kernel(
+    moves = library.ksets_pass(
         g.n, state.k, g.indptr, g.indices, g.data, g.diag,
         state.assign, state.sizes, state.gbar, state.point_to_set,
         objective, ops, None if trace is None else trace.ctypes.data,
@@ -302,14 +333,44 @@ def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
 def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
     """From-scratch objective sum_k gamma(S_k, S_k) / |S_k|."""
     partition.validate()
+    if partition.n != g.n:
+        raise ArityMismatch(
+            f"partition covers {partition.n} points, measure has {g.n}"
+        )
     assign = np.asarray(partition.assign, dtype=np.int64)
+    per_set = _within_set_sums(g, assign, partition.k).tolist()
+    return sum(per_set[c] / partition.sizes[c] for c in range(partition.k))
+
+
+def _within_set_sums(
+    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
+) -> np.ndarray:
+    """gamma(S_c, S_c) for every set c, in the reference summation order.
+
+    Each row's same-set entries are summed in entry order, then the row
+    sums are added to their sets in row order. assign is checked by the
+    caller, as for ``_point_to_set``.
+    """
+    from ._kernel import load
+
+    library = load()
+    if library is None:
+        return _within_set_sums_reference(g, assign, k)
+    per_set = np.zeros(k)
+    library.ksets_within(g.n, g.indptr, g.indices, g.data, assign, per_set)
+    return per_set
+
+
+def _within_set_sums_reference(
+    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
+) -> np.ndarray:
+    """numpy ``_within_set_sums``: the compiled kernel's oracle and fallback."""
     rows = g.entry_rows()
     same = assign[rows] == assign[g.indices]
     # Two bincounts keep the reference summation order: entries within a
     # row, then rows within a set, both in index order.
     per_row = np.bincount(rows[same], weights=g.data[same], minlength=g.n)
-    per_set = np.bincount(assign, weights=per_row, minlength=partition.k).tolist()
-    return sum(per_set[c] / partition.sizes[c] for c in range(partition.k))
+    return np.bincount(assign, weights=per_row, minlength=k)
 
 
 def _converge(state: EngineState, max_passes: int):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import re
 import warnings
 from pathlib import Path
 
@@ -19,15 +21,51 @@ from .measure import (
 )
 
 
-def _loadtxt(path, source, **options) -> np.ndarray:
-    """np.loadtxt into a 2-D float64 array; a parse error names the path."""
+def _loadtxt(path, source, is_row, skip: int = 0, **options) -> np.ndarray:
+    """np.loadtxt into a 2-D float64 array; a parse error names path:line.
+
+    loadtxt counts data rows only, so the error path reads the file again:
+    is_row(line) tells whether loadtxt reads a line after the first skip
+    lines as a row.
+    """
     try:
         with warnings.catch_warnings():
             # Callers report empty input themselves.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(source, ndmin=2, encoding="utf-8", **options)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(_locate(path, str(exc), is_row, skip)) from exc
+
+
+# loadtxt's messages end in "at row R" (from 1), or in "at row R, column C"
+# (R from 0) for a value it cannot convert; advice on its usecols argument,
+# which no caller has, may follow.
+_AT_ROW = re.compile(r"(.*) at row (\d+)(?:, column (\d+))?", re.DOTALL)
+
+
+def _locate(path, message: str, is_row, skip: int) -> str:
+    match = _AT_ROW.match(message)
+    if match is None:
+        return f"{path}: {message}"
+    text, row, column = match.groups()
+    row = int(row) + (column is not None)
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = itertools.islice(enumerate(fh, start=1), skip, None)
+        rows = (lineno for lineno, line in lines if is_row(line))
+        lineno = next(itertools.islice(rows, row - 1, None), None)
+    if lineno is None:
+        return f"{path}: {message}"
+    if column is not None:
+        text += f" (column {column})"
+    return f"{path}:{lineno}: {text}"
+
+
+def _is_edge_row(line: str) -> bool:
+    return bool(line.split("#", 1)[0].strip())
+
+
+def _is_dense_row(line: str) -> bool:
+    return not line.isspace() and not line.startswith("#")
 
 
 def load_edge_list(
@@ -38,7 +76,7 @@ def load_edge_list(
     The point count is max index + 1 unless n is given. Symmetric
     closure is applied: each triple also stands for its mirror.
     """
-    triples = _loadtxt(path, path, comments="#")
+    triples = _loadtxt(path, path, _is_edge_row, comments="#")
     if triples.size and triples.shape[1] != 3:
         raise ValueError(f"{path}: expected 'i j value', got {triples.shape[1]} fields")
     if n is None:
@@ -75,12 +113,15 @@ def load_dense_csv(
     The header is the first non-blank record; `#` starts a comment.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        records = (r for r in csv.reader(fh) if any(cell.strip() for cell in r))
+        reader = csv.reader(fh)
+        records = (r for r in reader if any(cell.strip() for cell in r))
         record = next(records, None) if header else None
         labels = None if record is None else tuple(cell.strip() for cell in record)
         # With delimiter=",", loadtxt skips empty lines but not blank ones.
         body = (line for line in fh if not line.isspace())
-        matrix = _loadtxt(path, body, delimiter=",", quotechar='"')
+        matrix = _loadtxt(
+            path, body, _is_dense_row, reader.line_num, delimiter=",", quotechar='"'
+        )
     if not matrix.size:
         raise ValueError(f"{path}: empty matrix")
     if matrix.shape[0] != matrix.shape[1]:

@@ -188,7 +188,7 @@ def check_distance_values(g: SparseSymmetricMeasure):
 
 def _from_coo(n: int, kind: str, rows, cols, vals) -> SparseSymmetricMeasure:
     """CSR measure from entries with distinct (row, col) keys."""
-    order = np.argsort(rows * n + cols, kind="stable")
+    order = np.argsort(rows * n + cols)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return SparseSymmetricMeasure(n, kind, indptr, cols[order], vals[order])
@@ -225,7 +225,9 @@ def build_from_triples(
     lo = np.minimum(i, j)
     hi = np.maximum(i, j)
     key = (lo * n + hi) * 2 + (i > j)
-    order = np.argsort(key, kind="stable")
+    # No stable sort is needed: equal keys name the same (i, j), and once
+    # the repeat check passes the keys are distinct.
+    order = np.argsort(key)
     key, lo, hi, v = key[order], lo[order], hi[order], v[order]
     repeated = np.flatnonzero(key[1:] == key[:-1])
     if repeated.size:

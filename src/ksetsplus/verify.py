@@ -149,11 +149,7 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
         )
     k = partition.k
     assign = np.asarray(partition.assign, dtype=np.int64)
-    block_sums = np.bincount(
-        assign[measure.entry_rows()] * k + assign[measure.indices],
-        weights=measure.data,
-        minlength=k * k,
-    ).reshape(k, k)
+    block_sums = _block_sums(measure, assign, k).reshape(k, k)
     sizes = np.asarray(partition.sizes, dtype=float)
     if not distance:
         diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
@@ -171,3 +167,30 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     flat = np.where(off, slack, np.inf)
     a, b = np.unravel_index(int(flat.argmin()), flat.shape)
     return PairwiseReport(slack, min_slack, (int(a), int(b)))
+
+
+def _block_sums(g: SparseSymmetricMeasure, assign: np.ndarray, k: int) -> np.ndarray:
+    """Flat K x K sums gamma(S_a, S_b) of the stored entries, in entry order.
+
+    assign is an int64 array of g.n set indices in [0, k), checked by the
+    caller; the compiled kernel reads it through a raw pointer.
+    """
+    from ._kernel import load
+
+    library = load()
+    if library is None:
+        return _block_sums_reference(g, assign, k)
+    sums = np.zeros(k * k)
+    library.ksets_scatter(
+        g.n, k, g.indptr, g.indices, g.data, assign, assign.ctypes.data, sums
+    )
+    return sums
+
+
+def _block_sums_reference(
+    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
+) -> np.ndarray:
+    """numpy ``_block_sums``: the compiled kernel's oracle and fallback."""
+    return np.bincount(
+        assign[g.entry_rows()] * k + assign[g.indices], weights=g.data, minlength=k * k
+    )

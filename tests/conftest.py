@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ksetsplus import _kernel
 from ksetsplus.measure import (
     Partition,
     SparseSymmetricMeasure,
@@ -15,6 +16,22 @@ from ksetsplus.measure import (
     measure_of_sets,
 )
 from ksetsplus.transforms import induced_cohesion
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """_kernel.load() with an empty cache directory and no memoized kernel."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel.load.cache_clear()
+    yield tmp_path / "ksetsplus"
+    _kernel.load.cache_clear()
+
+
+@pytest.fixture
+def no_kernel(fresh_loader, monkeypatch):
+    """No compiler can be found, so every caller runs its reference code."""
+    monkeypatch.setattr(_kernel, "COMMAND", ("ksetsplus-no-such-cc",))
+    assert _kernel.load() is None
 
 
 def triangle_violating_semimetric() -> SparseSymmetricMeasure:

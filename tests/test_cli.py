@@ -116,7 +116,7 @@ class TestClusterCommand:
              "--output", str(out)]
         )
         assert code == 2
-        assert f"error: {bad}: " in capsys.readouterr().err
+        assert f"error: {bad}:2: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_dense_symmetrize_is_exit_2(self, tmp_path):

@@ -15,6 +15,7 @@ from ksetsplus.engine import (
     run_pass,
 )
 from ksetsplus.errors import (
+    ArityMismatch,
     EmptySetInPartition,
     KOutOfRange,
     KsetsError,
@@ -316,6 +317,11 @@ class TestRun:
                 moved = list(result.partition.assign)
                 moved[x] = dst
                 assert brute_objective(g, moved) <= base + 1e-9
+
+    @pytest.mark.parametrize("assign", [[0, 1], [0, 1, 1, 0]])
+    def test_objective_rejects_wrong_size_partition(self, cohesion3, assign):
+        with pytest.raises(ArityMismatch, match=f"covers {len(assign)} points"):
+            objective_value(cohesion3.underlying, Partition.from_assign(assign, k=2))
 
     def test_objective_matches_reference_sum(self):
         rng = np.random.default_rng(50)

@@ -273,7 +273,7 @@ class TestEdgeList:
     def test_underscore_digits_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1 1_000\n")
-        with pytest.raises(ValueError, match=f"^{path}: .*'1_000'"):
+        with pytest.raises(ValueError, match=f"^{path}:1: .*'1_000'"):
             load_edge_list(path)
 
     def test_fractional_index_rejected(self, tmp_path):
@@ -294,7 +294,8 @@ class TestEdgeList:
     def test_wrong_field_count_names_the_file(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1 1\n1 2 1 7\n")
-        with pytest.raises(ValueError, match=f"^{path}: .*row 2"):
+        message = f"^{path}:2: the number of columns changed from 3 to 4$"
+        with pytest.raises(ValueError, match=message):
             load_edge_list(path)
 
 
@@ -374,19 +375,20 @@ class TestDenseCsv:
     def test_record_of_empty_cells_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1\n,\n1,0\n")
-        with pytest.raises(ValueError, match=f"^{path}: "):
+        with pytest.raises(ValueError, match=f"^{path}:2: "):
             load_dense_csv(path)
 
     def test_underscore_digits_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1_0\n1_0,0\n")
-        with pytest.raises(ValueError, match=f"^{path}: .*'1_0'"):
+        with pytest.raises(ValueError, match=f"^{path}:1: .*'1_0'"):
             load_dense_csv(path)
 
     def test_ragged_row_names_the_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1,2\n1,0\n2,3,0\n")
-        with pytest.raises(ValueError, match=f"^{path}: .*row 2"):
+        message = f"^{path}:2: the number of columns changed from 3 to 2$"
+        with pytest.raises(ValueError, match=message):
             load_dense_csv(path)
 
     def test_empty_rejected_without_warning(self, tmp_path):
@@ -396,6 +398,68 @@ class TestDenseCsv:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="empty matrix"):
                 load_dense_csv(path, header=True)
+
+
+class TestParseErrorLine:
+    """A parse error names the file line, whatever skipped lines precede it."""
+
+    @pytest.mark.parametrize(
+        "name, text, options, line, error",
+        [
+            (
+                "edges.txt",
+                "# header\n\n0 1 0.5 # note\n   # indented\n\t\n1 2 x\n",
+                {},
+                6,
+                "could not convert string 'x' to float64 (column 3)",
+            ),
+            (
+                "edges.txt",
+                "# header\n\n0 1 0.5\n# comment\n1 2\n0 2 1\n",
+                {},
+                5,
+                "the number of columns changed from 3 to 2",
+            ),
+            (
+                "m.csv",
+                "\n a , b \n  \n0,1\n# comment\n\n1,x\n",
+                {"header": True},
+                7,
+                "could not convert string 'x' to float64 (column 2)",
+            ),
+            (
+                "m.csv",
+                '"a\nb",c\n\n# comment\n0,1\n \n1\n',
+                {"header": True},
+                7,
+                "the number of columns changed from 2 to 1",
+            ),
+            (
+                "m.csv",
+                "0,1\n#comment\n #not a comment\n1,0\n",
+                {},
+                3,
+                "the number of columns changed from 2 to 1",
+            ),
+        ],
+        ids=[
+            "edges-conversion",
+            "edges-columns",
+            "dense-conversion",
+            "dense-columns",
+            "dense-indented-hash",
+        ],
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_error_names_the_line(
+        self, tmp_path, name, text, options, line, error, newline
+    ):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", newline).encode())
+        loader = load_dense_csv if name.endswith(".csv") else load_edge_list
+        with pytest.raises(ValueError) as info:
+            loader(path, **options)
+        assert str(info.value) == f"{path}:{line}: {error}"
 
 
 class TestGeoCsv:

@@ -6,8 +6,9 @@ recorded from the list-of-tuples measure that preceded the CSR arrays:
 the sha256 of the move trace (first 16 hex digits), the move count of
 every pass, the op counters, the recomputed and the incremental
 objective (as float.hex), and the sha256 of the final point-to-set
-table. The compiled kernel (behind run_pass) and the pure-Python
-reference both reproduce these bit for bit.
+table. The compiled kernel (behind init_state, run_pass and
+objective_value) and the reference code, run with no kernel available,
+both reproduce these bit for bit.
 """
 
 import hashlib
@@ -151,5 +152,5 @@ def test_move_sequence_is_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
-def test_reference_move_sequence_is_pinned(name):
+def test_reference_move_sequence_is_pinned(name, no_kernel):
     assert _fingerprint(*_case(name), _run_pass_reference) == PINS[name]

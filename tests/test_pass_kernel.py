@@ -1,5 +1,5 @@
-"""The compiled pass kernel against the pure-Python reference, plus its
-build cache and the fallback when no kernel can be built."""
+"""The compiled kernels against their Python and numpy references, plus
+the build cache and the fallback when no kernel can be built."""
 
 import logging
 import os
@@ -16,39 +16,49 @@ from hypothesis import strategies as st
 from ksetsplus import _kernel
 from ksetsplus.engine import (
     RunConfig,
+    _point_to_set,
+    _point_to_set_reference,
     _run_pass_reference,
+    _within_set_sums,
+    _within_set_sums_reference,
     init_state,
+    objective_value,
     run,
     run_pass,
 )
-from ksetsplus.measure import from_dense
+from ksetsplus.measure import Partition, from_dense
+from ksetsplus.verify import (
+    _block_sums,
+    _block_sums_reference,
+    pairwise_isolation_check,
+)
 
-from conftest import random_cohesion, random_partition, random_similarity_dense
+from conftest import (
+    random_cohesion,
+    random_partition,
+    random_semimetric,
+    random_similarity_dense,
+)
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-@pytest.fixture
-def fresh_loader(monkeypatch, tmp_path):
-    """load() with an empty cache directory and no memoized kernel."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    _kernel.load.cache_clear()
-    yield tmp_path / "ksetsplus"
-    _kernel.load.cache_clear()
-
-
-def _measure(rng, n, family, density):
+def _measure(rng, n, family, density, diagonal):
+    """A measure of the family; diagonal=False stores no diagonal entry,
+    except in an induced cohesion, whose diagonal is its own."""
     if family == "signed":
-        return random_similarity_dense(
-            rng, n, density=density, diagonal=bool(rng.random() < 0.5)
-        )
+        return random_similarity_dense(rng, n, density=density, diagonal=diagonal)
     if family == "integer":
         # Small integers make exact distance ties common.
         upper = np.triu(rng.integers(-2, 3, size=(n, n)), k=1).astype(float)
         full = upper + upper.T
-        full[np.diag_indices(n)] = rng.integers(-2, 3, size=n)
+        if diagonal:
+            full[np.diag_indices(n)] = rng.integers(-2, 3, size=n)
         return from_dense(full)
     return random_cohesion(rng, n).underlying
+
+
+FAMILIES = ["signed", "integer", "cohesion"]
 
 
 def _snapshot(state):
@@ -68,14 +78,15 @@ def _snapshot(state):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 24),
     k=st.integers(2, 6),
-    family=st.sampled_from(["signed", "integer", "cohesion"]),
+    family=st.sampled_from(FAMILIES),
     density=st.floats(0.1, 1.0),
+    diagonal=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_kernel_matches_reference_bit_for_bit(seed, n, k, family, density):
+def test_kernel_matches_reference_bit_for_bit(seed, n, k, family, density, diagonal):
     assert _kernel.load() is not None
     rng = np.random.default_rng(seed)
-    g = _measure(rng, n, family, density)
+    g = _measure(rng, n, family, density, diagonal)
     start = random_partition(rng, n, min(k, n))
     compiled = init_state(g, start.copy())
     reference = init_state(g, start.copy())
@@ -89,24 +100,73 @@ def test_kernel_matches_reference_bit_for_bit(seed, n, k, family, density):
     assert _snapshot(compiled) == _snapshot(reference)
 
 
+@needs_cc
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    k=st.integers(2, 24),
+    family=st.sampled_from(FAMILIES),
+    density=st.floats(0.1, 1.0),
+    diagonal=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_table_and_sum_kernels_match_references_bit_for_bit(
+    seed, n, k, family, density, diagonal
+):
+    assert _kernel.load() is not None
+    rng = np.random.default_rng(seed)
+    g = _measure(rng, n, family, density, diagonal)
+    # random_partition's rejection sampling would rarely end at k near n.
+    k = min(k, n)
+    assign = rng.integers(0, k, size=n)
+    assign[rng.permutation(n)[:k]] = np.arange(k)
+    partition = Partition.from_assign(assign, k=k)
+    for compiled, reference in [
+        (_point_to_set, _point_to_set_reference),
+        (_within_set_sums, _within_set_sums_reference),
+        (_block_sums, _block_sums_reference),
+    ]:
+        expected = reference(g, assign, partition.k).tobytes()
+        assert compiled(g, assign, partition.k).tobytes() == expected
+    objective = objective_value(g, partition)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "load", lambda: None)
+        assert objective_value(g, partition).hex() == objective.hex()
+
+
 def test_fallback_gives_the_same_run_and_one_warning(
     fresh_loader, monkeypatch, caplog
 ):
     rng = np.random.default_rng(5)
     g = random_similarity_dense(rng, 40, density=0.3)
+    d = random_semimetric(rng, 40)
     config = RunConfig(k=3, seed=2, restarts=3)
-    expected = run(g, config)
+
+    def outcome():
+        result = run(g, config)
+        report = pairwise_isolation_check(d, run(d, config).partition)
+        return (
+            result.partition.assign,
+            result.objective.hex(),
+            result.history,
+            objective_value(g, result.partition).hex(),
+            report.slack.tobytes(),
+            report.min_slack.hex(),
+            report.argmin,
+        )
+
+    expected = outcome()
+    assert _kernel.load() is not None
     _kernel.load.cache_clear()
     caplog.clear()
     monkeypatch.setattr(_kernel, "COMMAND", ("ksetsplus-no-such-cc",))
     with caplog.at_level(logging.WARNING, logger="ksetsplus.engine"):
-        result = run(g, config)
-    assert result.partition.assign == expected.partition.assign
-    assert result.objective.hex() == expected.objective.hex()
-    assert result.history == expected.history
+        assert outcome() == expected
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
-    assert "ksetsplus-no-such-cc" in warnings[0].getMessage()
+    message = warnings[0].getMessage()
+    assert "compiled kernel" in message
+    assert "ksetsplus-no-such-cc" in message
 
 
 @needs_cc
@@ -150,12 +210,13 @@ def test_cached_library_without_its_key_is_rebuilt(fresh_loader, damage):
 
 
 def test_import_starts_no_compiler(tmp_path):
-    code = (
-        "import sys, ksetsplus.cli\n"
-        "assert 'subprocess' not in sys.modules\n"
-        "assert 'ksetsplus._kernel' not in sys.modules\n"
-    )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(tmp_path))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    for module in ("ksetsplus", "ksetsplus.verify", "ksetsplus.cli"):
+        code = (
+            f"import sys, {module}\n"
+            "assert 'subprocess' not in sys.modules\n"
+            "assert 'ksetsplus._kernel' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
     assert list(tmp_path.iterdir()) == []
