@@ -40,21 +40,24 @@ COMMAND = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+# Arrays the C code writes, so that ctypes rejects a read-only one (a Partition's).
+_I64_OUT = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
+_F64_OUT = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
 _CSR = [_I64, _I64, _F64]  # indptr, indices, data
 # name: (restype, argtypes)
 _ROUTINES = {
     "ksets_pass": (
         ctypes.c_int64,
         [ctypes.c_int64, ctypes.c_int64, *_CSR, _F64]  # n, k, CSR, diag
-        + [_I64, _I64, _F64, _F64]  # assign, sizes, gbar, point-to-set rows
-        + [_F64, _I64, ctypes.c_void_p],  # objective, ops, trace or NULL
+        + [_I64_OUT, _I64_OUT, _F64_OUT, _F64_OUT]  # assign, sizes, gbar, rows
+        + [_F64_OUT, _I64_OUT, ctypes.c_void_p],  # objective, ops, trace or NULL
     ),
     "ksets_scatter": (
         None,
         # n, k, CSR, assign, key or NULL, out
-        [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, ctypes.c_void_p, _F64],
+        [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, ctypes.c_void_p, _F64_OUT],
     ),
-    "ksets_within": (None, [ctypes.c_int64, *_CSR, _I64, _F64]),  # n, CSR, assign, out
+    "ksets_within": (None, [ctypes.c_int64, *_CSR, _I64, _F64_OUT]),  # n, CSR, assign, out
 }
 
 

@@ -67,7 +67,8 @@ def _load_measure(args):
 
 def _write_cluster_output(args, dataset: DataSet, result, extra=None):
     partition = result.partition.relabel_by_first_occurrence()
-    io.write_partition_tsv(args.output, dataset, partition.assign)
+    # Python ints format faster than numpy scalars.
+    io.write_partition_tsv(args.output, dataset, partition.assign.tolist())
     sidecar = {
         "schema": 1,
         "objective": result.objective,

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    EmptySetInPartition,
-    KOutOfRange,
-    KsetsError,
-    WouldEmptySet,
-)
+from .errors import ArityMismatch, KOutOfRange, KsetsError, WouldEmptySet
 from .measure import Partition, SparseSymmetricMeasure, _check_index
 
 NEG_INF = float("-inf")
@@ -106,19 +100,19 @@ class EngineState:
     def __init__(self, measure: SparseSymmetricMeasure, partition: Partition):
         partition.validate()
         if partition.n != measure.n:
-            raise EmptySetInPartition(
+            raise ArityMismatch(
                 f"partition covers {partition.n} points, measure has {measure.n}"
             )
         self.measure = measure
-        self.assign = np.array(partition.assign, dtype=np.int64)
-        self.sizes = np.array(partition.sizes, dtype=np.int64)
+        self.assign = partition.assign.copy()
+        self.sizes = partition.sizes.copy()
         self.k = partition.k
         n, k = measure.n, partition.k
         assign = self.assign
         table = _point_to_set(measure, assign, k)
         own = table[np.arange(n) * k + assign]
         set_self = np.bincount(assign, weights=own, minlength=k).tolist()
-        sizes = partition.sizes
+        sizes = self.sizes.tolist()
         gbar = [set_self[c] / (sizes[c] * sizes[c]) for c in range(k)]
         self.gbar = np.array(gbar)
         self.point_rows = array("d", table.tobytes())
@@ -131,7 +125,7 @@ class EngineState:
 
     @property
     def partition(self) -> Partition:
-        return Partition(self.assign.tolist(), self.k, self.sizes.tolist())
+        return Partition(self.assign, self.k)
 
 
 def init_state(g: SparseSymmetricMeasure, partition: Partition) -> EngineState:
@@ -327,7 +321,7 @@ def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
     if not 2 <= k <= n:
         raise KOutOfRange(f"k={k} outside [2, {n}]")
     perm = np.random.default_rng(seed).permutation(n)
-    return Partition.from_assign((perm % k).tolist(), k=k)
+    return Partition(perm % k, k)
 
 
 def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
@@ -337,9 +331,8 @@ def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
         raise ArityMismatch(
             f"partition covers {partition.n} points, measure has {g.n}"
         )
-    assign = np.asarray(partition.assign, dtype=np.int64)
-    per_set = _within_set_sums(g, assign, partition.k).tolist()
-    return sum(per_set[c] / partition.sizes[c] for c in range(partition.k))
+    per_set = _within_set_sums(g, partition.assign, partition.k).tolist()
+    return sum(s / size for s, size in zip(per_set, partition.sizes.tolist()))
 
 
 def _within_set_sums(
@@ -389,7 +382,7 @@ def _converge(state: EngineState, max_passes: int):
         if moved == 0:
             converged = True
             break
-    return best_assign.tolist(), history, passes, converged
+    return best_assign, history, passes, converged
 
 
 def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
@@ -419,13 +412,12 @@ def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
         g = SparseSymmetricMeasure(g.n, "similarity", g.indptr, g.indices, -g.data)
     best: RunResult | None = None
     for r in range(config.restarts):
-        if config.init_partition is not None:
-            start = config.init_partition.copy()
-        else:
-            start = random_balanced_partition(g.n, config.k, config.seed + r)
+        start = config.init_partition or random_balanced_partition(
+            g.n, config.k, config.seed + r
+        )
         state = init_state(g, start)
         assign, history, passes, converged = _converge(state, config.max_passes)
-        partition = Partition.from_assign(assign, k=config.k)
+        partition = Partition(assign, config.k)
         objective = objective_value(g, partition) + offset
         if best is None or objective > best.objective:
             history = [h + offset for h in history]

@@ -205,7 +205,7 @@ def edge_accuracy(
     if graph.n_edges == 0:
         return 1.0
     ref = graph.truth_sign if reference == "truth" else graph.sign
-    assign = np.asarray(partition.assign)
+    assign = partition.assign
     together = assign[graph.edge_i] == assign[graph.edge_j]
     correct = together == (ref > 0)
     return float(correct.mean())

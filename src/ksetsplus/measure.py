@@ -320,33 +320,45 @@ def measure_of_sets(g: SparseSymmetricMeasure, s1, s2) -> float:
     return float(g.data[selected].sum())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Assignment of n points to k nonempty disjoint sets.
 
-    assign maps point index to set index in [0, k); sizes is kept
-    consistent with assign and every set is nonempty.
+    assign maps point index to set index in [0, k) and sizes counts the
+    points of each set, derived from assign. Both are read-only int64
+    arrays that the partition owns, and the constructor copies and
+    checks its input.
     """
 
-    assign: list[int]
+    assign: np.ndarray
     k: int
-    sizes: list[int] = field(default_factory=list)
+    sizes: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        assign = np.array(self.assign, dtype=np.int64)
+        if assign.ndim != 1:
+            raise ArityMismatch(f"expected a 1-D assignment, got shape {assign.shape}")
+        if not assign.size:
+            raise EmptySetInPartition("empty assignment")
+        outside = (assign < 0) | (assign >= self.k)
+        if outside.any():
+            a = int(assign[np.argmax(outside)])
+            raise IndexOutOfRange(f"set index {a} outside [0, {self.k})")
+        sizes = np.bincount(assign, minlength=self.k)
+        if not sizes.all():
+            raise EmptySetInPartition(f"set {int(np.argmin(sizes))} is empty")
+        assign.flags.writeable = False
+        sizes.flags.writeable = False
+        object.__setattr__(self, "assign", assign)
+        object.__setattr__(self, "sizes", sizes)
 
     @classmethod
     def from_assign(cls, assign, k: int | None = None) -> "Partition":
-        # astype truncates like int(); the list keeps Python ints.
+        # astype truncates like int().
         values = np.asarray(assign).astype(np.int64)
-        if not values.size:
-            raise EmptySetInPartition("empty assignment")
         if k is None:
-            k = int(values.max()) + 1
-        outside = (values < 0) | (values >= k)
-        if outside.any():
-            a = int(values[np.argmax(outside)])
-            raise IndexOutOfRange(f"set index {a} outside [0, {k})")
-        part = cls(values.tolist(), k, np.bincount(values, minlength=k).tolist())
-        part.validate()
-        return part
+            k = int(values.max()) + 1 if values.size else 0
+        return cls(values, k)
 
     @classmethod
     def from_sets(cls, sets, n: int | None = None) -> "Partition":
@@ -366,17 +378,13 @@ class Partition:
         return cls.from_assign(assign, k=len(sets))
 
     def validate(self):
-        if len(self.sizes) != self.k:
-            raise ArityMismatch("sizes length differs from k")
-        if sum(self.sizes) != len(self.assign):
-            raise ArityMismatch("sizes do not sum to n")
-        assign = np.asarray(self.assign, dtype=np.int64)
-        in_range = not assign.size or (assign.min() >= 0 and assign.max() < self.k)
-        if not in_range or np.bincount(assign, minlength=self.k).tolist() != self.sizes:
-            raise ArityMismatch("sizes inconsistent with assignment")
-        if any(s == 0 for s in self.sizes):
-            empty = self.sizes.index(0)
-            raise EmptySetInPartition(f"set {empty} is empty")
+        """Re-check the set indices that the kernels read through raw pointers.
+
+        The arrays own their memory, so a caller can make them writeable
+        again; the constructor's other guarantees hold by type.
+        """
+        if self.assign.min() < 0 or self.assign.max() >= self.k:
+            raise IndexOutOfRange(f"a set index is outside [0, {self.k})")
 
     @property
     def n(self) -> int:
@@ -384,18 +392,14 @@ class Partition:
 
     def as_sets(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.k)]
-        for i, a in enumerate(self.assign):
+        for i, a in enumerate(self.assign.tolist()):
             out[a].append(i)
         return out
 
-    def copy(self) -> "Partition":
-        return Partition(list(self.assign), self.k, list(self.sizes))
-
     def relabel_by_first_occurrence(self) -> "Partition":
         """Renumber sets in order of first appearance along the points."""
-        _, first, inverse = np.unique(
-            self.assign, return_index=True, return_inverse=True
-        )
-        rank = np.empty(first.size, dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(first.size)
-        return Partition.from_assign(rank[inverse], k=self.k)
+        first = np.full(self.k, self.n, dtype=np.int64)
+        np.minimum.at(first, self.assign, np.arange(self.n))
+        rank = np.empty(self.k, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(self.k)
+        return Partition(rank[self.assign], self.k)

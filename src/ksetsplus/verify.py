@@ -148,9 +148,9 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
             f"partition covers {partition.n} points, measure has {n}"
         )
     k = partition.k
-    assign = np.asarray(partition.assign, dtype=np.int64)
+    assign = partition.assign
     block_sums = _block_sums(measure, assign, k).reshape(k, k)
-    sizes = np.asarray(partition.sizes, dtype=float)
+    sizes = partition.sizes.astype(float)
     if not distance:
         diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
         block_sums = (

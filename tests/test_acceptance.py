@@ -129,7 +129,7 @@ def test_c04_shift_exactness_and_engine_equivalence():
         cfg = RunConfig(k=k, seed=trial, init_partition=init)
         res_raw = run(g, cfg)
         res_lift = run(lifted, cfg)
-        assert res_raw.partition.assign == res_lift.partition.assign
+        assert res_raw.partition.assign.tolist() == res_lift.partition.assign.tolist()
     _finish("04 shift-exactness", 30.0, start)
 
 

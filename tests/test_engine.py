@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ksetsplus import engine
 from ksetsplus.delta import adjusted_delta
 from ksetsplus.engine import (
     RunConfig,
@@ -16,7 +17,6 @@ from ksetsplus.engine import (
 )
 from ksetsplus.errors import (
     ArityMismatch,
-    EmptySetInPartition,
     KOutOfRange,
     KsetsError,
     WouldEmptySet,
@@ -62,7 +62,7 @@ class TestInitState:
         assert state.objective == pytest.approx(sum(g.diag), rel=1e-12)
 
     def test_rejects_wrong_size_partition(self, cohesion3):
-        with pytest.raises(EmptySetInPartition):
+        with pytest.raises(ArityMismatch, match="covers 2 points"):
             init_state(cohesion3.underlying, Partition.from_assign([0, 1], k=2))
 
 
@@ -252,7 +252,7 @@ class TestRun:
         g = random_similarity_dense(rng, 30, density=0.3)
         a = run(g, RunConfig(k=4, seed=11, restarts=3))
         b = run(g, RunConfig(k=4, seed=11, restarts=3))
-        assert a.partition.assign == b.partition.assign
+        assert a.partition.assign.tolist() == b.partition.assign.tolist()
         assert a.objective == b.objective
         assert a.history == b.history
 
@@ -289,6 +289,23 @@ class TestRun:
             cohesion3.underlying, RunConfig(k=2, seed=0, init_partition=part)
         )
         assert result.objective == pytest.approx(13 / 3, abs=1e-9)
+
+    def test_initial_partition_starts_every_restart_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        g = random_similarity_dense(rng, 20, density=0.5)
+        part = random_partition(rng, 20, 3)
+        before = part.assign.tobytes()
+        starts = []
+
+        def recording_init_state(measure, partition):
+            starts.append(partition.assign.tobytes())
+            return init_state(measure, partition)
+
+        monkeypatch.setattr(engine, "init_state", recording_init_state)
+        result = run(g, RunConfig(k=3, seed=0, init_partition=part, restarts=3))
+        assert result.partition.assign.tobytes() != before
+        assert starts == [before] * 3
+        assert part.assign.tobytes() == before
 
     @pytest.mark.parametrize("seed", range(4))
     def test_converged_state_matches_scratch(self, seed):
@@ -343,8 +360,8 @@ class TestShiftInvariance:
         g = random_similarity_dense(rng, n, density=0.6)
         lifted = lift_similarity(g, sigma_min(g)).underlying
         start = random_partition(rng, n, 3)
-        state_raw = init_state(g, start.copy())
-        state_lift = init_state(lifted, start.copy())
+        state_raw = init_state(g, start)
+        state_lift = init_state(lifted, start)
         state_raw.trace = []
         state_lift.trace = []
         for _ in range(100):
@@ -378,8 +395,8 @@ class TestRandomBalancedPartition:
     def test_deterministic(self):
         a = random_balanced_partition(20, 4, seed=5)
         b = random_balanced_partition(20, 4, seed=5)
-        assert a.assign == b.assign
+        assert a.assign.tolist() == b.assign.tolist()
 
     def test_every_set_nonempty_when_k_equals_n(self):
         part = random_balanced_partition(5, 5, seed=1)
-        assert part.sizes == [1] * 5
+        assert part.sizes.tolist() == [1] * 5

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,7 +335,7 @@ def relabel_loop(assign):
 class TestPartition:
     def test_from_assign(self):
         p = Partition.from_assign([0, 1, 1, 0], k=2)
-        assert p.sizes == [2, 2]
+        assert p.sizes.tolist() == [2, 2]
         assert p.n == 4
 
     def test_empty_set_rejected(self):
@@ -342,7 +344,7 @@ class TestPartition:
 
     def test_from_sets(self):
         p = Partition.from_sets([[2, 0], [1]])
-        assert p.assign == [0, 1, 0]
+        assert p.assign.tolist() == [0, 1, 0]
 
     def test_from_sets_must_cover(self):
         with pytest.raises(ArityMismatch):
@@ -351,7 +353,7 @@ class TestPartition:
     def test_relabel_by_first_occurrence(self):
         p = Partition.from_assign([2, 0, 2, 1], k=3)
         q = p.relabel_by_first_occurrence()
-        assert q.assign == [0, 1, 0, 2]
+        assert q.assign.tolist() == [0, 1, 0, 2]
 
     @given(st.lists(st.integers(0, 3), min_size=4, max_size=12))
     @settings(max_examples=50, deadline=None)
@@ -370,9 +372,8 @@ class TestPartition:
     def test_relabel_matches_old_loop(self, raw):
         p = Partition.from_assign(raw + list(range(6)), k=6)
         q = p.relabel_by_first_occurrence()
-        assert q.assign == relabel_loop(p.assign)
-        assert all(type(a) is int for a in q.assign)
-        assert q.sizes == Partition.from_assign(q.assign, k=6).sizes
+        assert q.assign.tolist() == relabel_loop(p.assign.tolist())
+        assert q.sizes.tolist() == Partition.from_assign(q.assign, k=6).sizes.tolist()
 
 
 def from_assign_loop(assign, k=None):
@@ -408,37 +409,38 @@ class TestPartitionCounting:
     def test_from_assign_matches_loop(self, raw, k):
         def vectorized(raw, k):
             p = Partition.from_assign(raw, k=k)
-            return p.assign, p.k, p.sizes
+            return p.assign.tolist(), p.k, p.sizes.tolist()
 
         assert _outcome(vectorized, raw, k) == _outcome(from_assign_loop, raw, k)
 
-    def test_from_assign_keeps_python_ints(self):
-        p = Partition.from_assign(np.array([1, 0, 1]))
-        assert p.assign == [1, 0, 1] and type(p.assign[0]) is int
-        assert p.sizes == [1, 2] and type(p.sizes[0]) is int
-
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_validate_matches_loop(self, raw, data):
-        k = max(raw) + 1
-        sizes = [raw.count(c) for c in range(k)]
-        # Move one count between sets (sums stay equal), or none.
-        a, b = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
-        sizes[a] += 1
-        sizes[b] -= 1
-        recount = [raw.count(c) for c in range(k)]
-        if recount != sizes:
-            expected = (ArityMismatch, "sizes inconsistent with assignment")
-        elif 0 in sizes:
-            expected = (EmptySetInPartition, f"set {sizes.index(0)} is empty")
-        else:
-            expected = None
-        assert _outcome(Partition(raw, k, sizes).validate) == expected
+    def test_arrays_are_read_only_owned_int64(self):
+        source = np.array([1, 0, 1])
+        p = Partition(source, 2)
+        source[0] = 0
+        assert p.assign.tolist() == [1, 0, 1]
+        assert p.sizes.tolist() == [1, 2]
+        for array in (p.assign, p.sizes):
+            assert array.dtype == np.int64
+            assert not array.flags.writeable
+            assert array.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            p.assign[0] = 0
+        for name in ("assign", "k", "sizes"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, getattr(p, name))
 
     @pytest.mark.parametrize("bad", [[0, 1, 2], [0, 1, -1]])
     def test_validate_rejects_set_index_outside_k(self, bad):
-        with pytest.raises(ArityMismatch):
-            Partition(bad, 2, [1, 2]).validate()
+        with pytest.raises(IndexOutOfRange, match=f"set index {bad[2]} outside"):
+            Partition(bad, 2)
+
+    def test_validate_catches_a_write_after_construction(self):
+        p = Partition([0, 1, 1], 2)
+        p.validate()
+        p.assign.flags.writeable = True
+        p.assign[0] = 2
+        with pytest.raises(IndexOutOfRange):
+            p.validate()
 
 
 class TestDataSet:

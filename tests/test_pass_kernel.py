@@ -1,6 +1,7 @@
 """The compiled kernels against their Python and numpy references, plus
 the build cache and the fallback when no kernel can be built."""
 
+import ctypes
 import logging
 import os
 import shutil
@@ -88,8 +89,8 @@ def test_kernel_matches_reference_bit_for_bit(seed, n, k, family, density, diago
     rng = np.random.default_rng(seed)
     g = _measure(rng, n, family, density, diagonal)
     start = random_partition(rng, n, min(k, n))
-    compiled = init_state(g, start.copy())
-    reference = init_state(g, start.copy())
+    compiled = init_state(g, start)
+    reference = init_state(g, start)
     compiled.trace, reference.trace = [], []
     for _ in range(200):
         moved = run_pass(compiled)
@@ -146,7 +147,7 @@ def test_fallback_gives_the_same_run_and_one_warning(
         result = run(g, config)
         report = pairwise_isolation_check(d, run(d, config).partition)
         return (
-            result.partition.assign,
+            result.partition.assign.tolist(),
             result.objective.hex(),
             result.history,
             objective_value(g, result.partition).hex(),
@@ -167,6 +168,25 @@ def test_fallback_gives_the_same_run_and_one_warning(
     message = warnings[0].getMessage()
     assert "compiled kernel" in message
     assert "ksetsplus-no-such-cc" in message
+
+
+@needs_cc
+def test_pass_kernel_rejects_a_read_only_assign():
+    g = random_similarity_dense(np.random.default_rng(3), 6)
+    partition = Partition([0, 1, 2, 0, 1, 2], 3)
+    state = init_state(g, partition)
+    library = _kernel.load()
+
+    def call(assign):
+        return library.ksets_pass(
+            g.n, state.k, g.indptr, g.indices, g.data, g.diag,
+            assign, state.sizes, state.gbar, state.point_to_set,
+            np.array([state.objective]), np.zeros(2, dtype=np.int64), None,
+        )
+
+    with pytest.raises(ctypes.ArgumentError):
+        call(partition.assign)
+    assert call(state.assign) >= 0
 
 
 @needs_cc
