@@ -1,8 +1,10 @@
 """Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The library holds three routines: ``ksets_pass`` (one engine pass),
-``ksets_scatter`` (the point-to-set table and the K x K block sums) and
-``ksets_within`` (the per-set self-sums of the objective). The library is
+The library holds four routines: ``ksets_pass`` (one engine pass),
+``ksets_scatter`` (the point-to-set table and the K x K block sums),
+``ksets_within`` (the per-set self-sums of the objective) and
+``ksets_read`` (an edge list or dense CSV of a strict grammar into the
+float64 table np.loadtxt would return, or a refusal). The library is
 compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -58,6 +60,12 @@ _ROUTINES = {
         [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, ctypes.c_void_p, _F64_OUT],
     ),
     "ksets_within": (None, [ctypes.c_int64, *_CSR, _I64, _F64_OUT]),  # n, CSR, assign, out
+    "ksets_read": (
+        ctypes.c_int64,
+        # text, size, skip, dense, out, cap, shape
+        [np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64]
+        + [ctypes.c_int64, ctypes.c_int64, _F64_OUT, ctypes.c_int64, _I64_OUT],
+    ),
 }
 
 

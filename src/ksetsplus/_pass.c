@@ -1,6 +1,7 @@
 /* The compiled K-sets+ kernels over a CSR measure, the twins of
  * ksetsplus.engine._run_pass_reference, _point_to_set_reference and
- * _within_set_sums_reference and of verify._block_sums_reference.
+ * _within_set_sums_reference and of verify._block_sums_reference, and the
+ * text reader ksets_read, the twin of ksetsplus.io._read_loadtxt.
  *
  * Every expression keeps the reference's operation order and int-to-double
  * conversions, and the build passes -ffp-contract=off, so moves, tables and
@@ -110,4 +111,167 @@ void ksets_within(int64_t n, const int64_t *indptr, const int64_t *indices,
         }
         out[a] += sum;
     }
+}
+
+/* 10^0 .. 10^22, each exactly representable as a double. */
+static const double ksets_pow10[23] = {
+    1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+static int is_digit(const unsigned char *p, const unsigned char *end)
+{
+    return p < end && (unsigned)(*p - '0') < 10;
+}
+
+static const unsigned char *skip_padding(const unsigned char *p,
+                                         const unsigned char *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t'))
+        p++;
+    return p;
+}
+
+/* One token [+-]?(digits[.digits?] | .digits)([eE][+-]?digits)? at p into
+ * *value; the end of the token, or NULL when the token is malformed or its
+ * value is outside Clinger's fast path: at most 19 digits, a mantissa of at
+ * most 2^53 and a net power of ten in [-22, 22]. Inside it the mantissa and
+ * the power are exact doubles, so one correctly rounded multiply or divide
+ * gives the same bits as float(). */
+static const unsigned char *read_number(const unsigned char *p,
+                                        const unsigned char *end,
+                                        double *value)
+{
+    int negative = p < end && *p == '-';
+    if (p < end && (*p == '+' || *p == '-'))
+        p++;
+    uint64_t mantissa = 0;
+    int64_t digits = 0, scale = 0;
+    for (; is_digit(p, end); p++, digits++)
+        mantissa = mantissa * 10 + (*p - '0');
+    if (p < end && *p == '.')
+        for (p++; is_digit(p, end); p++, digits++, scale--)
+            mantissa = mantissa * 10 + (*p - '0');
+    if (digits == 0)
+        return NULL;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        int minus = p < end && *p == '-';
+        if (p < end && (*p == '+' || *p == '-'))
+            p++;
+        if (!is_digit(p, end))
+            return NULL;
+        int64_t exponent = 0;
+        for (; is_digit(p, end); p++)
+            if (exponent < 1000)
+                exponent = exponent * 10 + (*p - '0');
+        scale += minus ? -exponent : exponent;
+    }
+    if (digits > 19 || mantissa > (UINT64_C(1) << 53) || scale < -22 || scale > 22)
+        return NULL;
+    double v = (double)mantissa;
+    v = scale < 0 ? v / ksets_pow10[-scale] : v * ksets_pow10[scale];
+    *value = negative ? -v : v;
+    return p;
+}
+
+/* Past a CRLF or LF line end at p (or at EOF); NULL for anything else. */
+static const unsigned char *end_line(const unsigned char *p,
+                                     const unsigned char *end)
+{
+    if (p == end)
+        return p;
+    if (*p == '\n')
+        return p + 1;
+    if (*p == '\r' && p + 1 < end && p[1] == '\n')
+        return p + 2;
+    return NULL;
+}
+
+/* Past the rest of a comment at p: printable ASCII or tabs up to the line
+ * end, which is left for end_line; NULL at any other byte. */
+static const unsigned char *skip_comment(const unsigned char *p,
+                                         const unsigned char *end)
+{
+    for (; p < end && *p != '\n' && *p != '\r'; p++)
+        if ((*p < 0x20 || *p > 0x7e) && *p != '\t')
+            return NULL;
+    return p;
+}
+
+/* Read a numeric text table, the twin of io._read_loadtxt, row-major into
+ * out (room for cap values): an edge list (dense == 0; cells separated by
+ * spaces or tabs, '#' starts a comment anywhere) or a dense CSV (cells
+ * separated by commas with optional space or tab padding, '#' only at the
+ * start of a line), after the first skip lines. Blank and comment lines are
+ * skipped, lines end in LF or CRLF, and every row has the same cell count.
+ *
+ * Returns 0 with shape = (rows, cols) once every row is in out, or -1 when
+ * the text is outside this grammar, has no rows or does not fit, so that
+ * the caller runs np.loadtxt instead. With cap 0 only the first row is
+ * read, and shape receives (lines, cols): the line count, which bounds the
+ * row count, and the first row's cell count. */
+int64_t ksets_read(const char *text, int64_t size, int64_t skip, int64_t dense,
+                   double *out, int64_t cap, int64_t *shape)
+{
+    const unsigned char *p = (const unsigned char *)text, *end = p + size;
+    /* The header lines; csv.reader would also end a line at a lone CR. */
+    for (; skip > 0 && p < end; p++) {
+        if (*p == '\r' && (p + 1 == end || p[1] != '\n'))
+            return -1;
+        skip -= *p == '\n';
+    }
+    int64_t rows = 0, count = 0;
+    while (p < end) {
+        const unsigned char *line = p;
+        p = skip_padding(p, end);
+        if (p < end && *p == '#') {
+            if (dense && p != line)
+                return -1; /* loadtxt reads an indented comment as a row */
+            p = skip_comment(p, end);
+        } else if (p < end && *p != '\n' && *p != '\r') {
+            int64_t fields = 0;
+            for (;;) {
+                double value;
+                const unsigned char *token_end = read_number(p, end, &value);
+                if (!token_end)
+                    return -1;
+                if (count < cap)
+                    out[count] = value;
+                count++;
+                fields++;
+                p = skip_padding(token_end, end);
+                if (p == end || *p == '\n' || *p == '\r')
+                    break;
+                if (dense) {
+                    if (*p != ',')
+                        return -1;
+                    p = skip_padding(p + 1, end);
+                } else if (*p == '#') {
+                    p = skip_comment(p, end);
+                    break;
+                } else if (p == token_end) {
+                    return -1; /* the token runs on, as in 1.5.2 or 0x10 */
+                }
+            }
+            if (rows == 0)
+                shape[1] = fields;
+            else if (fields != shape[1])
+                return -1;
+            rows++;
+            if (count > cap) {
+                if (cap > 0)
+                    return -1;
+                shape[0] = 1;
+                for (const char *q = text; (q = memchr(q, '\n', text + size - q)); q++)
+                    shape[0]++;
+                return 0;
+            }
+        }
+        if (!p || !(p = end_line(p, end)))
+            return -1;
+    }
+    if (rows == 0)
+        return -1;
+    shape[0] = rows;
+    return 0;
 }

@@ -60,7 +60,9 @@ class RunConfig:
             raise KOutOfRange(f"max_passes={self.max_passes} must be >= 1")
         if self.init_partition is not None:
             if self.init_partition.n != n:
-                raise KOutOfRange("initial partition covers the wrong n")
+                raise ArityMismatch(
+                    f"partition covers {self.init_partition.n} points, measure has {n}"
+                )
             if self.init_partition.k != self.k:
                 raise KOutOfRange("initial partition has the wrong k")
 

@@ -181,7 +181,9 @@ def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
     sums = np.bincount(inverse, weights=vals, minlength=len(keys))
     keep = sums != 0.0
     keys = keys[keep]
-    return _from_coo(n, "similarity", keys // n, keys % n, sums[keep])
+    # np.unique sorts the keys, row * n + col, so they are in CSR order.
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return SparseSymmetricMeasure(n, "similarity", indptr, keys % n, sums[keep])
 
 
 def edge_accuracy(

@@ -290,6 +290,14 @@ class TestRun:
         )
         assert result.objective == pytest.approx(13 / 3, abs=1e-9)
 
+    @pytest.mark.parametrize("assign", [[0, 1], [0, 1, 1, 0]])
+    def test_initial_partition_of_the_wrong_size(self, assign):
+        g = build_from_triples(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        config = RunConfig(k=2, seed=0, init_partition=Partition.from_assign(assign))
+        message = f"^partition covers {len(assign)} points, measure has 3$"
+        with pytest.raises(ArityMismatch, match=message):
+            run(g, config)
+
     def test_initial_partition_starts_every_restart_unchanged(self, monkeypatch):
         rng = np.random.default_rng(31)
         g = random_similarity_dense(rng, 20, density=0.5)

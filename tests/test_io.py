@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksetsplus import _kernel
+from ksetsplus import io as kio
 from ksetsplus.errors import (
     ArityMismatch,
     AsymmetricDuplicate,
@@ -190,6 +192,204 @@ class TestLoadersMatchOldParsers:
             path.write_bytes(text.encode("utf-8"))
             expected = load_outcome(old_load_dense_csv, path, **options)
             assert load_outcome(load_dense_csv, path, **options) == expected
+
+
+# Tokens inside the reader's fast path (<= 19 digits, mantissa <= 2^53,
+# net power of ten in [-22, 22]) and, below, tokens loadtxt reads that lie
+# just outside it, and tokens loadtxt rejects.
+FAST_TOKENS = [
+    "0", "-0", "+7", ".5", "1.", "+.5", "-.25e-3", "12.5E+2", "7e-0",
+    "1e22", "1e-22", "0.1e23", "123e-20", "9007199254740992", "9007199254740991",
+    "123456789012345", "0.000000000000000001",
+]  # fmt: skip
+SLOW_TOKENS = [
+    "9007199254740993", "12345678901234567", "1234567890123456789",
+    "0.0000000000000000001", "1e23", "1e-23", "12e-23", "0e-30", "1e99999",
+    "0.30000000000000004", "4503599627370496.5", "nan", "-inf",
+]  # fmt: skip
+BAD_TOKENS = ["1.5.2", "1e", "1e+", "-", "+", ".", "0x10", "1_000", "1d5", "--1"]
+
+
+@st.composite
+def reader_files(draw):
+    """(text, dense, skip, clean): a table in the reader's grammar when clean,
+    otherwise with drawn pieces that lie outside it."""
+    dense = draw(st.booleans())
+    messy = draw(st.booleans())  # whether pieces outside the grammar are drawn
+    clean = True
+
+    def pick(good, other):
+        nonlocal clean
+        if not messy or draw(st.integers(0, 3)) > 0:
+            return draw(st.sampled_from(good))
+        clean = False
+        return draw(st.sampled_from(other))
+
+    def token():
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            return f"{draw(st.integers(-10**9, 10**9)) / 1000:.3f}"
+        if kind == 1:
+            return repr(draw(st.integers(-10**6, 10**6)) / 1e6)
+        return pick(FAST_TOKENS, SLOW_TOKENS + BAD_TOKENS + [repr(draw(values))])
+
+    if dense:
+        seps = ([",", " ,", ", ", "\t,\t"], [" ", ",,", "\v,", ",\u00a0", ";"])
+        fillers = (["", "  ", "\t", "# note"], ["  # note", "\f", " #"])
+        trailers = ([""], [" # note", ",", "#"])
+    else:
+        seps = ([" ", "\t", " \t "], [",", "\v", "\u00a0", "\f "])
+        fillers = (["", "  ", "\t", "# note", "  # note", "#"], ["\v", "\u00a0"])
+        trailers = (["", " # note", "#x", "\t#"], ["\v", "\u00a0", " x"])
+    pads = (["", " ", "\t"], ["\v", "\u00a0"])
+    cols = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        width = cols
+        if messy and draw(st.integers(0, 9)) == 0:
+            width, clean = cols + draw(st.sampled_from([-1, 1])), False
+        cells = [token() for _ in range(width)]
+        line = cells[0] if cells else ""
+        for cell in cells[1:]:
+            line += pick(*seps) + cell
+        lines.append(pick(*pads) + line + pick(*pads) + pick(*trailers))
+    lines = interleave(draw, lines, fillers[0])
+    if messy and draw(st.integers(0, 4)) == 0:
+        lines = interleave(draw, lines, fillers[1])
+        clean = False
+    skip = 0
+    if dense and draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["a,b", '"x, y",\u00e9', "# labels"])))
+        skip = 1
+    eols = [pick(["\n", "\r\n"], ["\r"]) for _ in lines]
+    text = "".join(line + eol for line, eol in zip(lines, eols))
+    if draw(st.booleans()):
+        text = text[: -len(eols[-1])]  # no final line end
+    if messy and draw(st.integers(0, 9)) == 0:
+        text, clean = "\ufeff" + text, False
+    return text, dense, skip, clean
+
+
+def table_bytes(table):
+    return None if table is None else (table.dtype.str, table.shape, table.tobytes())
+
+
+class TestExactReader:
+    """The compiled reader gives np.loadtxt's array, or declines the file."""
+
+    @given(reader_files())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loadtxt_or_declines(self, case):
+        text, dense, skip, clean = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.txt"
+            path.write_bytes(text.encode("utf-8"))
+            exact = kio._read_exact(path, dense, skip)
+            try:
+                expected = kio._read_loadtxt(path, dense, skip)
+            except ValueError:
+                expected = None
+        if clean:
+            assert exact is not None
+        if exact is not None:
+            assert table_bytes(exact) == table_bytes(expected)
+
+    @pytest.mark.parametrize("token", FAST_TOKENS)
+    def test_fast_tokens_are_read_like_float(self, tmp_path, token):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1 {token}\n")
+        table = kio._read_exact(path, dense=False)
+        assert table is not None
+        assert table[0, 2].hex() == float(token).hex()
+
+    @pytest.mark.parametrize("token", SLOW_TOKENS + BAD_TOKENS)
+    def test_other_tokens_are_declined(self, tmp_path, token):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1 2\n0 2 {token}\n")
+        assert kio._read_exact(path, dense=False) is None
+
+    @pytest.mark.parametrize(
+        "text, entries",
+        [
+            ("\ufeff0 1 2\n", None),
+            ("0 1\u00a02\n", 2),
+            ("0 1\v2\n", 2),
+            ("0 1 2\r0 2 1\n", 4),
+            ("# \u00e9\n0 1 2\n", 2),
+        ],
+        ids=["bom", "nbsp", "vtab", "lone-cr", "non-ascii-comment"],
+    )
+    def test_outside_the_byte_grammar_is_declined(self, tmp_path, text, entries):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert kio._read_exact(path, dense=False) is None
+        if entries is None:  # loadtxt rejects a BOM
+            with pytest.raises(ValueError, match=r"^.*:1: could not convert"):
+                load_edge_list(path)
+        else:  # loadtxt reads the others
+            assert load_edge_list(path)[0].m == entries
+
+    def test_routine_reports_its_shape_and_declines_a_short_output(self):
+        library = _kernel.load()
+        if library is None:
+            pytest.skip("no compiled kernel")
+        text = np.frombuffer(b"# c\n1 2\n\n3 4", dtype=np.uint8)
+        args, shape = (text, text.size, 0, 0), np.zeros(2, dtype=np.int64)
+        assert library.ksets_read(*args, np.empty(0), 0, shape) == 0
+        assert shape.tolist() == [4, 2]  # lines, cells of the first row
+        out = np.empty(4)
+        assert library.ksets_read(*args, out[:3], 3, shape) == -1
+        assert library.ksets_read(*args, out, 4, shape) == 0
+        assert shape.tolist() == [2, 2]
+        assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.fixture
+    def shaped(self, tmp_path):
+        """Files shaped like the benchmark's: an edge list with a `#` header
+        line and repr values, and a %.3f CSV; with their tables."""
+        rng = np.random.default_rng(5)
+        i = rng.integers(0, 50, size=200)
+        j = (i + rng.integers(1, 50, size=200)) % 50
+        keep = np.unique(np.minimum(i, j) * 50 + np.maximum(i, j), return_index=True)[1]
+        v = rng.integers(-999_999, 1_000_000, size=keep.size) / 1e6
+        edges = np.column_stack([i[keep], j[keep], v])
+        edges_path = tmp_path / "edges.txt"
+        with open(edges_path, "w", encoding="utf-8") as fh:
+            fh.write("# seeded similarity n=50\n")
+            for a, b, x in edges.tolist():
+                fh.write(f"{int(a)} {int(b)} {x!r}\n")
+        raw = np.rint(rng.uniform(1.0, 90.0, size=(30, 30)) * 1000.0) / 1000.0
+        np.fill_diagonal(raw, 0.0)
+        csv_path = tmp_path / "m.csv"
+        np.savetxt(csv_path, raw, fmt="%.3f", delimiter=",")
+        return [(edges_path, False, edges), (csv_path, True, raw)]
+
+    @staticmethod
+    def _outcomes(shaped):
+        edges_path, csv_path = shaped[0][0], shaped[1][0]
+        return [
+            load_outcome(load_edge_list, edges_path),
+            load_outcome(load_dense_csv, csv_path, average_asymmetric=True),
+            load_outcome(load_dense_csv, FIXTURE, kind="distance", header=True),
+        ]
+
+    def test_engages_on_benchmark_shaped_inputs(self, shaped, monkeypatch):
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("np.loadtxt was called")
+
+        monkeypatch.setattr(kio.np, "loadtxt", no_loadtxt)
+        for path, dense, table in shaped:
+            assert table_bytes(kio._loadtxt(path, dense)) == table_bytes(table)
+        for outcome in self._outcomes(shaped):
+            assert isinstance(outcome, tuple)  # loaded, not an error type
+
+    def test_loaders_without_the_kernel_give_the_same_arrays(self, shaped, monkeypatch):
+        outcomes = self._outcomes(shaped)
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        assert kio._read_exact(shaped[0][0], dense=False) is None
+        for path, dense, table in shaped:
+            assert table_bytes(kio._loadtxt(path, dense)) == table_bytes(table)
+        assert self._outcomes(shaped) == outcomes
 
 
 class TestEdgeList:
