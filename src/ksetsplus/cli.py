@@ -38,7 +38,6 @@ from .experiments import (
     similarity_from_signed,
 )
 from .measure import DataSet, Partition
-from .transforms import SemiCohesionMeasure, lift_similarity, sigma_min
 
 # No command calls induced_cohesion: run() clusters a distance as -d.
 # The name stays importable here because perfbench/spans.py wraps
@@ -103,12 +102,6 @@ def cmd_cluster(args) -> int:
 
 def cmd_verify(args) -> int:
     measure, dataset = _load_measure(args)
-    sigma_used = None
-    if args.kind == "similarity":
-        sigma_used = sigma_min(measure)
-        measure = lift_similarity(measure, sigma_used)
-    elif args.kind == "cohesion":
-        measure = SemiCohesionMeasure(measure)
     labels, raw_assign = io.read_partition_tsv(args.partition)
     if len(raw_assign) != dataset.n:
         raise ArityMismatch(
@@ -122,8 +115,8 @@ def cmd_verify(args) -> int:
             )
     partition = Partition.from_assign(raw_assign).relabel_by_first_occurrence()
     report = pairwise_isolation_check(measure, partition)
-    if sigma_used is not None:
-        print(f"sigma_used\t{sigma_used!r}")
+    if report.sigma_used is not None:
+        print(f"sigma_used\t{report.sigma_used!r}")
     print("pairwise isolation slack matrix:")
     for row in report.slack:
         print("\t".join(f"{v:.6g}" for v in row))

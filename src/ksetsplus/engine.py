@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, KOutOfRange, KsetsError, WouldEmptySet
-from .measure import Partition, SparseSymmetricMeasure, _check_index
+from .errors import KOutOfRange, KsetsError, WouldEmptySet
+from .measure import Partition, SparseSymmetricMeasure, _check_covers, _check_index
 
 NEG_INF = float("-inf")
 
@@ -59,10 +59,7 @@ class RunConfig:
         if self.max_passes < 1:
             raise KOutOfRange(f"max_passes={self.max_passes} must be >= 1")
         if self.init_partition is not None:
-            if self.init_partition.n != n:
-                raise ArityMismatch(
-                    f"partition covers {self.init_partition.n} points, measure has {n}"
-                )
+            _check_covers(self.init_partition, n)
             if self.init_partition.k != self.k:
                 raise KOutOfRange("initial partition has the wrong k")
 
@@ -100,11 +97,7 @@ class EngineState:
     )
 
     def __init__(self, measure: SparseSymmetricMeasure, partition: Partition):
-        partition.validate()
-        if partition.n != measure.n:
-            raise ArityMismatch(
-                f"partition covers {partition.n} points, measure has {measure.n}"
-            )
+        _check_covers(partition, measure.n)
         self.measure = measure
         self.assign = partition.assign.copy()
         self.sizes = partition.sizes.copy()
@@ -328,11 +321,7 @@ def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
 
 def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
     """From-scratch objective sum_k gamma(S_k, S_k) / |S_k|."""
-    partition.validate()
-    if partition.n != g.n:
-        raise ArityMismatch(
-            f"partition covers {partition.n} points, measure has {g.n}"
-        )
+    _check_covers(partition, g.n)
     per_set = _within_set_sums(g, partition.assign, partition.k).tolist()
     return sum(s / size for s, size in zip(per_set, partition.sizes.tolist()))
 

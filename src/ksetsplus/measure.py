@@ -403,3 +403,10 @@ class Partition:
         rank = np.empty(self.k, dtype=np.int64)
         rank[np.argsort(first)] = np.arange(self.k)
         return Partition(rank[self.assign], self.k)
+
+
+def _check_covers(partition: Partition, n: int):
+    """Re-check partition's set indices, then that it covers n points."""
+    partition.validate()
+    if partition.n != n:
+        raise ArityMismatch(f"partition covers {partition.n} points, measure has {n}")

@@ -14,9 +14,9 @@ and adding a large-enough constant shift to the diagonal; the shift
 moves every adjusted set distance by the same constant, so clustering
 decisions are unchanged.
 
-These transforms destroy sparsity and are stored densely. They exist
-for verification and small-instance work; the fast engine runs on the
-raw sparse measure directly.
+These transforms destroy sparsity and are stored densely; they serve
+small instances and the tests' oracles. The engine, ``verify``, the
+validation and the shift bound run on the stored entries.
 """
 
 from __future__ import annotations
@@ -42,20 +42,16 @@ C2_TOL_SCALE = 1e-9
 class SemiCohesionMeasure:
     """A measure validated against (C1)-(C3), plus the shift that made it.
 
-    ``sigma_used`` is set when the instance came from lifting a
-    similarity; it is None for measures induced from a distance.
+    ``sigma_used`` is the shift of a lifted similarity, whose (C3)
+    failure is SigmaTooSmall, and None for any other measure.
     """
 
     def __init__(
-        self,
-        underlying: SparseSymmetricMeasure,
-        sigma_used: float | None = None,
-        validate: bool = True,
+        self, underlying: SparseSymmetricMeasure, sigma_used: float | None = None
     ):
         self.underlying = underlying
         self.sigma_used = sigma_used
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -63,28 +59,57 @@ class SemiCohesionMeasure:
 
     def validate(self):
         g = self.underlying
-        scale = g.max_abs()
-        row_sums = g.row_sums()
-        tol = C2_TOL_SCALE * g.n * scale
-        worst = float(np.max(np.abs(row_sums)))
+        tol = C2_TOL_SCALE * g.n * g.max_abs()
+        worst = float(np.abs(g.row_sums()).max())
         if worst > tol:
-            raise NotACohesion(
-                f"row sums reach {worst:.3g}, beyond tolerance {tol:.3g}"
-            )
-        dense = g.to_dense()
-        diag = g.diag
-        dominance = diag[:, None] + diag[None, :] - 2.0 * dense
-        worst = float(dominance.min())
+            raise NotACohesion(f"row sums reach {worst:.3g}, beyond tolerance {tol:.3g}")
+        worst, x, y = _dominance_minimum(g)
         if worst < -C3_TOL:
-            x, y = np.unravel_index(int(dominance.argmin()), dominance.shape)
-            raise NotACohesion(
-                f"diagonal dominance fails at ({x}, {y}) by {-worst:.3g}"
+            where = f"diagonal dominance fails at ({x}, {y}) by {-worst:.3g}"
+            if self.sigma_used is None:
+                raise NotACohesion(where)
+            raise SigmaTooSmall(
+                f"sigma={self.sigma_used} is below the valid lifting range: {where}"
             )
 
     def __repr__(self):
         return (
             f"SemiCohesionMeasure(n={self.n}, sigma_used={self.sigma_used!r})"
         )
+
+
+def _dominance_minimum(g: SparseSymmetricMeasure) -> tuple[float, int, int]:
+    """Smallest (g(x, x) + g(y, y)) - 2 g(x, y) and its first pair in
+    row-major order, in O(m + n log n).
+
+    An unstored pair's term is g(x, x) + g(y, y), smallest at row x's
+    unstored y of smallest diagonal: the mex, at most deg(x), of the
+    sorted-diagonal ranks of x's stored columns. y may be x: an unstored
+    diagonal is 0, as is the diagonal's term.
+    """
+    n, diag, rows = g.n, g.diag, g.entry_rows()
+    order = np.argsort(diag)
+    ranks = np.argsort(order)[g.indices]
+    # Row x owns the slots start[x] + r, r <= deg(x), of a flat table.
+    start = g.indptr[:-1] + np.arange(n)
+    low = ranks < np.diff(g.indptr)[rows]
+    taken = np.zeros(g.m + n, dtype=bool)
+    taken[start[rows[low]] + ranks[low]] = True
+    free = np.flatnonzero(~taken)
+    mex = free[np.searchsorted(free, start)] - start
+    # Rank n stands for a full row.
+    row_min = diag + np.append(diag[order], np.inf)[mex]
+    np.minimum.at(row_min, rows, (diag[rows] + diag[g.indices]) - 2.0 * g.data)
+    x = int(row_min.argmin())
+    lo, hi = g.indptr[x], g.indptr[x + 1]
+    row = diag[x] + diag
+    row[g.indices[lo:hi]] -= 2.0 * g.data[lo:hi]
+    return float(row_min[x]), x, int(row.argmin())
+
+
+def _as_cohesion(g) -> SemiCohesionMeasure:
+    """g if already validated, else g validated as a semi-cohesion measure."""
+    return g if isinstance(g, SemiCohesionMeasure) else SemiCohesionMeasure(g)
 
 
 def induced_cohesion(d: SparseSymmetricMeasure) -> SemiCohesionMeasure:
@@ -111,10 +136,7 @@ def dual_distance(
     dominance makes the result nonnegative; float residue in (-1e-9, 0)
     is clamped to zero so the output stores a valid distance.
     """
-    if isinstance(g, SparseSymmetricMeasure):
-        g = SemiCohesionMeasure(g, validate=True)
-    else:
-        g.validate()
+    g = _as_cohesion(g)
     dense = g.underlying.to_dense()
     diag = g.underlying.diag
     d = (diag[:, None] + diag[None, :]) / 2.0 - dense
@@ -172,15 +194,7 @@ def lift_similarity(
         - sigma / n
     )
     lifted[np.diag_indices(n)] += sigma
-    out = _from_dense_unchecked(lifted, "cohesion")
-    try:
-        return SemiCohesionMeasure(out, sigma_used=float(sigma))
-    except NotACohesion as exc:
-        if "dominance" in str(exc):
-            raise SigmaTooSmall(
-                f"sigma={sigma} is below the valid lifting range: {exc}"
-            ) from exc
-        raise
+    return SemiCohesionMeasure(_from_dense_unchecked(lifted, "cohesion"), float(sigma))
 
 
 @dataclass

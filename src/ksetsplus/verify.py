@@ -11,8 +11,8 @@ sets, the two-set form
     2 dbar(S_i, S_j) - dbar(S_i, S_i) - dbar(S_j, S_j) >= 0
 
 meaning any two sets are clusters when viewed in isolation. is_cluster
-runs on a dense copy; pairwise_isolation_check sums stored entries in
-O(m + n + K^2), after the dense validation of a semi-cohesion input.
+runs on a dense copy; pairwise_isolation_check runs on the stored
+entries of every kind of measure in O(m + n log n + K^2).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, EmptySet
-from .measure import Partition, SparseSymmetricMeasure, _check_index
-from .transforms import SemiCohesionMeasure
+from .errors import EmptySet
+from .measure import Partition, SparseSymmetricMeasure, _check_covers, _check_index
+from .transforms import _as_cohesion, sigma_min
 
 STATEMENTS = ("i", "ii", "iii", "iv", "v", "vi")
 
@@ -52,20 +52,16 @@ class ClusterReport:
 
 @dataclass
 class PairwiseReport:
-    """Two-set isolation slacks for every pair of partition sets."""
+    """Two-set isolation slacks for every pair of partition sets, and the
+    shift of the lifted similarity checked (None for other inputs)."""
 
     slack: np.ndarray
     min_slack: float
     argmin: tuple[int, int] | None
+    sigma_used: float | None = None
 
     def ok(self, tol: float = 1e-9) -> bool:
         return self.min_slack >= -tol
-
-
-def _as_cohesion(g) -> SemiCohesionMeasure:
-    if isinstance(g, SemiCohesionMeasure):
-        return g
-    return SemiCohesionMeasure(g, validate=True)
 
 
 def _slack_bool(slack: float, scale: float) -> bool:
@@ -131,27 +127,27 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     - dbar(S_j, S_j) under the dual semi-metric; a converged engine
     partition on a semi-cohesion measure never goes negative.
 
-    g is a semi-cohesion measure or a measure of kind "distance", which
-    is its own dual semi-metric (an unstored pair is distance 0). The
-    block sums B of the dual come from the stored entries: with Gamma
-    the block sums of g, B = Gamma for a distance, and for a
-    semi-cohesion measure d(x, y) = (g(x, x) + g(y, y)) / 2 - g(x, y)
-    gives B = (D s^T + s D^T) / 2 - Gamma, where D holds the per-set
-    sums of the diagonal and s the set sizes.
+    g is checked on its stored entries. A SemiCohesionMeasure or a
+    "cohesion" (validated first) is checked through its dual, and a
+    "distance" is its own dual (an unstored pair is distance 0): with
+    Gamma the block sums of g, the dual's are B = Gamma for a distance,
+    else B = (D s^T + s D^T) / 2 - Gamma, where D holds the per-set sums
+    of the diagonal and s the set sizes. A "similarity" is checked as its
+    lift by sigma = sigma_min(g), unbuilt: lifting adds sigma to every
+    off-diagonal dual distance, which adds sigma (1/|S_i| + 1/|S_j|).
     """
-    distance = isinstance(g, SparseSymmetricMeasure) and g.kind == "distance"
-    measure = g if distance else _as_cohesion(g).underlying
-    partition.validate()
-    n = measure.n
-    if partition.n != n:
-        raise ArityMismatch(
-            f"partition covers {partition.n} points, measure has {n}"
-        )
-    k = partition.k
-    assign = partition.assign
+    kind = g.kind if isinstance(g, SparseSymmetricMeasure) else "cohesion"
+    measure, sigma_used = g, None
+    if kind == "similarity":
+        sigma_used = sigma_min(g)
+    elif kind == "cohesion":
+        cohesion = _as_cohesion(g)
+        measure, sigma_used = cohesion.underlying, cohesion.sigma_used
+    _check_covers(partition, measure.n)
+    k, assign = partition.k, partition.assign
     block_sums = _block_sums(measure, assign, k).reshape(k, k)
     sizes = partition.sizes.astype(float)
-    if not distance:
+    if kind != "distance":
         diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
         block_sums = (
             np.outer(diag_sums, sizes) + np.outer(sizes, diag_sums)
@@ -159,14 +155,14 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     dbar = block_sums / np.outer(sizes, sizes)
 
     slack = 2.0 * dbar - dbar.diagonal()[:, None] - dbar.diagonal()[None, :]
+    if kind == "similarity":
+        slack += sigma_used * (1.0 / sizes[:, None] + 1.0 / sizes[None, :])
     np.fill_diagonal(slack, 0.0)
     if k < 2:
-        return PairwiseReport(slack, float("inf"), None)
-    off = ~np.eye(k, dtype=bool)
-    min_slack = float(slack[off].min())
-    flat = np.where(off, slack, np.inf)
+        return PairwiseReport(slack, float("inf"), None, sigma_used)
+    flat = np.where(np.eye(k, dtype=bool), np.inf, slack)
     a, b = np.unravel_index(int(flat.argmin()), flat.shape)
-    return PairwiseReport(slack, min_slack, (int(a), int(b)))
+    return PairwiseReport(slack, float(flat[a, b]), (int(a), int(b)), sigma_used)
 
 
 def _block_sums(g: SparseSymmetricMeasure, assign: np.ndarray, k: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from ksetsplus.measure import (
     measure_of_sets,
 )
 from ksetsplus.transforms import induced_cohesion
+
+# Tests of a compiled routine itself, which no-compiler platforms skip;
+# everything else must pass there on the references.
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 @pytest.fixture

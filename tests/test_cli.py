@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from ksetsplus import cli, transforms
+from ksetsplus import cli, io, transforms
 from ksetsplus.cli import main
+from ksetsplus.experiments import random_sparse_similarity
 from ksetsplus.measure import SparseSymmetricMeasure
 
 from conftest import all_two_partition_assigns, brute_objective, triangle_violating_semimetric
-from ksetsplus.transforms import induced_cohesion
+from ksetsplus.transforms import induced_cohesion, sigma_min
 
 FIXTURE = str(Path(__file__).parent / "data" / "latency_fixture.csv")
 
@@ -281,12 +282,14 @@ class TestOtherCommands:
         assert rows["paris"] != rows["sydney"]
 
 
-def test_distance_commands_build_no_dense_cohesion(tmp_path, edges3, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense transform on a distance path")
+def forbidden(*args, **kwargs):
+    raise AssertionError("dense transform on a command path")
 
+
+def test_distance_commands_build_no_dense_cohesion(tmp_path, edges3, monkeypatch):
     monkeypatch.setattr(SparseSymmetricMeasure, "to_dense", forbidden)
     monkeypatch.setattr(transforms, "induced_cohesion", forbidden)
+    monkeypatch.setattr(transforms, "lift_similarity", forbidden)
     monkeypatch.setattr(cli, "induced_cohesion", forbidden)
     part = tmp_path / "part.tsv"
     assert main(
@@ -297,8 +300,39 @@ def test_distance_commands_build_no_dense_cohesion(tmp_path, edges3, monkeypatch
         ["verify", "--input", edges3, "--kind", "distance",
          "--partition", str(part)]
     ) == 0
+    assert main(
+        ["cluster", "--input", edges3, "--k", "2", "--restarts", "3",
+         "--output", str(part)]
+    ) == 0
+    assert main(
+        ["verify", "--input", edges3, "--kind", "similarity",
+         "--partition", str(part)]
+    ) == 0
+    # A valid cohesion whose unstored pair (0, 2) meets (C3) with equality.
+    cohesion = tmp_path / "cohesion.txt"
+    cohesion.write_text("0 0 -1\n0 1 1\n1 1 3\n1 3 -4\n2 2 1\n2 3 -1\n3 3 5\n")
+    part.write_text("0\t0\n1\t0\n2\t1\n3\t1\n")
+    assert main(
+        ["verify", "--input", str(cohesion), "--kind", "cohesion",
+         "--partition", str(part)]
+    ) == 0
     pts = tmp_path / "pts.csv"
     pts.write_text("paris,48.85,2.35\nbrussels,50.85,4.35\nsydney,-33.87,151.21\n")
     assert main(
         ["geo", "--points", str(pts), "--k", "2", "--output", str(tmp_path / "geo.tsv")]
     ) == 0
+
+
+def test_sparse_similarity_at_n_20000_clusters_and_verifies(tmp_path, monkeypatch, capsys):
+    # The dense lift would need several n x n float64 arrays, 3.2 GB each.
+    g = random_sparse_similarity(20_000, 10.0, seed=0)
+    edges, part = tmp_path / "edges.txt", tmp_path / "part.tsv"
+    io.write_edge_list(edges, g)
+    monkeypatch.setattr(SparseSymmetricMeasure, "to_dense", forbidden)
+    common = ["--input", str(edges), "--n", "20000"]
+    assert main(["cluster", *common, "--k", "5", "--output", str(part)]) == 0
+    capsys.readouterr()
+    assert main(["verify", *common, "--partition", str(part)]) == 0
+    out = capsys.readouterr().out
+    assert f"sigma_used\t{sigma_min(g)!r}\n" in out
+    assert "verification passed" in out

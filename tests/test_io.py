@@ -27,6 +27,8 @@ from ksetsplus.io import (
 )
 from ksetsplus.measure import DataSet, build_from_triples, from_dense, symmetrize
 
+from conftest import needs_cc
+
 FIXTURE = Path(__file__).parent / "data" / "latency_fixture.csv"
 
 
@@ -277,6 +279,7 @@ def table_bytes(table):
 class TestExactReader:
     """The compiled reader gives np.loadtxt's array, or declines the file."""
 
+    @needs_cc
     @given(reader_files())
     @settings(max_examples=400, deadline=None)
     def test_matches_loadtxt_or_declines(self, case):
@@ -294,6 +297,7 @@ class TestExactReader:
         if exact is not None:
             assert table_bytes(exact) == table_bytes(expected)
 
+    @needs_cc
     @pytest.mark.parametrize("token", FAST_TOKENS)
     def test_fast_tokens_are_read_like_float(self, tmp_path, token):
         path = tmp_path / "edges.txt"
@@ -373,6 +377,7 @@ class TestExactReader:
             load_outcome(load_dense_csv, FIXTURE, kind="distance", header=True),
         ]
 
+    @needs_cc
     def test_engages_on_benchmark_shaped_inputs(self, shaped, monkeypatch):
         def no_loadtxt(*args, **kwargs):
             raise AssertionError("np.loadtxt was called")

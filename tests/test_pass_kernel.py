@@ -4,7 +4,6 @@ the build cache and the fallback when no kernel can be built."""
 import ctypes
 import logging
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,13 +34,12 @@ from ksetsplus.verify import (
 )
 
 from conftest import (
+    needs_cc,
     random_cohesion,
     random_partition,
     random_semimetric,
     random_similarity_dense,
 )
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 def _measure(rng, n, family, density, diagonal):
@@ -135,6 +133,7 @@ def test_table_and_sum_kernels_match_references_bit_for_bit(
         assert objective_value(g, partition).hex() == objective.hex()
 
 
+@needs_cc
 def test_fallback_gives_the_same_run_and_one_warning(
     fresh_loader, monkeypatch, caplog
 ):

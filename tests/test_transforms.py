@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksetsplus.delta import delta
 from ksetsplus.errors import (
@@ -8,9 +10,17 @@ from ksetsplus.errors import (
     SigmaTooSmall,
     TooFewPoints,
 )
-from ksetsplus.measure import SparseSymmetricMeasure, build_from_triples, from_dense
+from ksetsplus.measure import (
+    SparseSymmetricMeasure,
+    _from_dense_unchecked,
+    build_from_triples,
+    from_dense,
+)
 from ksetsplus.transforms import (
+    C2_TOL_SCALE,
+    C3_TOL,
     SemiCohesionMeasure,
+    _dominance_minimum,
     check_shift_lemma,
     dual_distance,
     induced_cohesion,
@@ -195,6 +205,96 @@ class TestLiftSimilarity:
             )
             expect = (k - 1) * sigma - total / n
             assert gap == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+def dense_dominance(g: SparseSymmetricMeasure) -> tuple[float, int, int]:
+    """The dense (C3) scan: the worst (g(x, x) + g(y, y)) - 2 g(x, y) over
+    all pairs and its first pair in row-major order."""
+    dominance = g.diag[:, None] + g.diag[None, :] - 2.0 * g.to_dense()
+    x, y = np.unravel_index(int(dominance.argmin()), dominance.shape)
+    return float(dominance.min()), int(x), int(y)
+
+
+def dense_failure(g: SparseSymmetricMeasure) -> str | None:
+    """Which check of (C2) and the dense (C3) scan rejects g, if any."""
+    if np.abs(g.row_sums()).max() > C2_TOL_SCALE * g.n * g.max_abs():
+        return "row sums"
+    if dense_dominance(g)[0] < -C3_TOL:
+        return "dominance"
+    return None
+
+
+def dense_lift(g: SparseSymmetricMeasure, sigma: float) -> SparseSymmetricMeasure:
+    """lift_similarity's matrix, computed in the same order, unvalidated."""
+    n = g.n
+    dense = g.to_dense()
+    row_sums = dense.sum(axis=1)
+    total = row_sums.sum()
+    lifted = (
+        dense
+        - row_sums[:, None] / n
+        - row_sums[None, :] / n
+        + total / n**2
+        - sigma / n
+    )
+    lifted[np.diag_indices(n)] += sigma
+    return _from_dense_unchecked(lifted, "cohesion")
+
+
+def raised(call) -> type | None:
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type is the result
+        return type(exc)
+    return None
+
+
+class TestSparseDominance:
+    """(C3) from the stored entries against the dense n x n scan."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        family=st.sampled_from(["lift", "laplacian", "raw"]),
+        density=st.floats(0.0, 1.0),
+        diagonal=st.booleans(),
+        offset=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dense_scan(self, seed, n, family, density, diagonal, offset):
+        rng = np.random.default_rng(seed)
+        g = random_similarity_dense(rng, n, density=density, diagonal=diagonal)
+        if family == "lift" and n >= 2:
+            sigma = sigma_min(g) + offset
+            h = dense_lift(g, sigma)
+            failure = dense_failure(h)
+            expected = {"dominance": SigmaTooSmall, "row sums": NotACohesion}
+            assert raised(lambda: lift_similarity(g, sigma)) is expected.get(failure)
+        elif family == "laplacian":
+            # Rows sum to zero, and an unstored pair can break (C3) through
+            # a negative diagonal.
+            w = g.to_dense()
+            np.fill_diagonal(w, 0.0)
+            h = from_dense(np.diag(w.sum(axis=1)) - w, kind="cohesion")
+        else:
+            h = g
+        worst, x, y = _dominance_minimum(h)
+        oracle = dense_dominance(h)
+        assert (worst.hex(), x, y) == (oracle[0].hex(), oracle[1], oracle[2])
+        expected = NotACohesion if dense_failure(h) else None
+        assert raised(lambda: SemiCohesionMeasure(h)) is expected
+
+    def test_unstored_pair_of_negative_diagonals_fails(self):
+        # Rows sum to zero; only the unstored pair (0, 2) breaks (C3).
+        h = build_from_triples(
+            4,
+            [(0, 0, -1.0), (0, 1, 1.0), (1, 1, 3.0), (1, 3, -4.0), (2, 2, -1.0),
+             (2, 3, 1.0), (3, 3, 3.0)],
+            kind="cohesion",
+        )
+        assert _dominance_minimum(h) == (-2.0, 0, 2)
+        with pytest.raises(NotACohesion, match=r"at \(0, 2\) by 2"):
+            SemiCohesionMeasure(h)
 
 
 class TestShiftCheck:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksetsplus.engine import RunConfig, run
-from ksetsplus.errors import EmptySet
+from ksetsplus.errors import EmptySet, NotACohesion
 from ksetsplus.measure import (
     Partition,
     SparseSymmetricMeasure,
@@ -182,6 +184,40 @@ class TestIsolationMatchesDenseOracle:
             np.testing.assert_allclose(
                 report.slack, oracle, rtol=1e-9, atol=1e-9 * scale, err_msg=name
             )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        k=st.integers(2, 6),
+        density=st.floats(0.1, 1.0),
+        diagonal=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_similarity_is_checked_as_its_lift(self, seed, n, k, density, diagonal):
+        rng = np.random.default_rng(seed)
+        g = random_similarity_dense(rng, n, density=density, diagonal=diagonal)
+        k = min(k, n)
+        assign = rng.integers(0, k, size=n)
+        assign[rng.permutation(n)[:k]] = np.arange(k)
+        part = Partition.from_assign(assign, k=k)
+        report = pairwise_isolation_check(g, part)
+        try:
+            lifted = pairwise_isolation_check(lift_similarity(g, sigma_min(g)), part)
+        except NotACohesion:
+            # On two points the lift at sigma_min is zero but for rounding,
+            # which fails the (C2) tolerance scaled by its own largest
+            # entry. The unbuilt lift's slack is zero too.
+            assert n == 2
+            assert np.abs(report.slack).max() <= 1e-12
+            return
+        assert report.sigma_used.hex() == lifted.sigma_used.hex()
+        scale = max(1.0, float(np.abs(lifted.slack).max()))
+        np.testing.assert_allclose(
+            report.slack, lifted.slack, rtol=1e-9, atol=1e-9 * scale
+        )
+        assert report.min_slack == pytest.approx(
+            lifted.min_slack, rel=1e-9, abs=1e-9 * scale
+        )
 
     def test_unstored_pairs_are_distance_zero(self):
         # Only (0, 1) is stored; (0, 2) and (1, 2) are distance 0.
