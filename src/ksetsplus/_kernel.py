@@ -1,10 +1,10 @@
 """Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The library holds four routines: ``ksets_pass`` (one engine pass),
-``ksets_scatter`` (the point-to-set table and the K x K block sums),
-``ksets_within`` (the per-set self-sums of the objective) and
-``ksets_read`` (an edge list or dense CSV of a strict grammar into the
-float64 table np.loadtxt would return, or a refusal). The library is
+The library holds three routines: ``ksets_pass`` (one engine pass),
+``ksets_scatter`` (the point-to-set table, from which the engine and
+``verify`` derive every set sum) and ``ksets_read`` (an edge list or
+dense CSV of a strict grammar into the float64 table np.loadtxt would
+return, or a refusal). The library is
 compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -56,10 +56,9 @@ _ROUTINES = {
     ),
     "ksets_scatter": (
         None,
-        # n, k, CSR, assign, key or NULL, out
-        [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, ctypes.c_void_p, _F64_OUT],
+        # n, k, CSR, assign, out
+        [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, _F64_OUT],
     ),
-    "ksets_within": (None, [ctypes.c_int64, *_CSR, _I64, _F64_OUT]),  # n, CSR, assign, out
     "ksets_read": (
         ctypes.c_int64,
         # text, size, skip, dense, out, cap, shape

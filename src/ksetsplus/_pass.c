@@ -1,6 +1,5 @@
 /* The compiled K-sets+ kernels over a CSR measure, the twins of
- * ksetsplus.engine._run_pass_reference, _point_to_set_reference and
- * _within_set_sums_reference and of verify._block_sums_reference, and the
+ * ksetsplus.engine._run_pass_reference and _point_to_set_reference, and the
  * text reader ksets_read, the twin of ksetsplus.io._read_loadtxt.
  *
  * Every expression keeps the reference's operation order and int-to-double
@@ -73,43 +72,17 @@ int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
     return moves;
 }
 
-/* out[key(r) * k + assign[indices[p]]] += data[p] in entry order, with
- * key(r) = r when key is NULL (the n-by-k point-to-set table) and
- * key(r) = key[r] otherwise (the k-by-k block sums for key = assign).
- * This is the order in which np.bincount adds the same weights. */
+/* out[r * k + assign[indices[p]]] += data[p] in entry order: the n-by-k
+ * point-to-set table, in the order in which np.bincount adds the same
+ * weights. */
 void ksets_scatter(int64_t n, int64_t k, const int64_t *indptr,
                    const int64_t *indices, const double *data,
-                   const int64_t *assign, const int64_t *key, double *out)
+                   const int64_t *assign, double *out)
 {
     for (int64_t r = 0; r < n; r++) {
-        double *row = out + (key ? key[r] : r) * k;
+        double *row = out + r * k;
         for (int64_t p = indptr[r]; p < indptr[r + 1]; p++)
             row[assign[indices[p]]] += data[p];
-    }
-}
-
-/* out[assign[r]] += (sum of row r's entries inside r's own set), the row
- * sums each in entry order, then added to their sets in row order.
- *
- * An entry outside the set adds +0.0 (its bits masked to zero) instead of
- * being skipped, which avoids a mispredicted branch per entry. That is
- * exact: a sum that starts at +0.0 never becomes -0.0, and x + 0.0 == x
- * for every other x. */
-void ksets_within(int64_t n, const int64_t *indptr, const int64_t *indices,
-                  const double *data, const int64_t *assign, double *out)
-{
-    for (int64_t r = 0; r < n; r++) {
-        int64_t a = assign[r];
-        double sum = 0.0;
-        for (int64_t p = indptr[r]; p < indptr[r + 1]; p++) {
-            uint64_t bits;
-            double value;
-            memcpy(&bits, data + p, sizeof bits);
-            bits &= -(uint64_t)(assign[indices[p]] == a);
-            memcpy(&value, &bits, sizeof value);
-            sum += value;
-        }
-        out[a] += sum;
     }
 }
 

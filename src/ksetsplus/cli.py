@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .engine import (
     RunConfig,
@@ -113,7 +115,9 @@ def cmd_verify(args) -> int:
                 f"partition row {i + 1} is labeled {label!r}, "
                 f"point {i} is {dataset.label(i)!r}"
             )
-    partition = Partition.from_assign(raw_assign).relabel_by_first_occurrence()
+    # Any integer ids: renumber them 0..K-1 before ordering the sets.
+    ids = np.unique(raw_assign, return_inverse=True)[1]
+    partition = Partition.from_assign(ids).relabel_by_first_occurrence()
     report = pairwise_isolation_check(measure, partition)
     if report.sigma_used is not None:
         print(f"sigma_used\t{report.sigma_used!r}")

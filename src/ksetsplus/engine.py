@@ -14,19 +14,18 @@ over the points costs O(Kn + m). Each accepted move strictly increases
 the objective sum_k gamma(S_k, S_k) / |S_k|, which bounds the number of
 passes on exact arithmetic; max_passes guards against float near-ties.
 
-point_to_set is held as one flat unboxed double buffer (row-major n by
-k); the compact layout keeps passes cache-friendly at n in the tens of
-thousands. assign and sizes are int64 arrays and gbar a float64 array,
-so the compiled pass kernel (_pass.c) updates all of them in place. The
-same library builds the point-to-set table and sums the objective from
-scratch. The pure-Python pass and the numpy table and objective sums are
-kept as the kernel's bit-exact references and as the fallback when no
-kernel can be built.
+point_to_set is one C-contiguous float64 n-by-k array, and every set
+sum comes from it: gbar and the objective sum each point's own-set cell
+per set, and verify's K x K block sums add its cells by the point's set.
+assign and sizes are int64 arrays and gbar a float64 array, so the
+compiled pass kernel (_pass.c) updates all of them in place. The same
+library fills the table from scratch. The pure-Python pass and the numpy
+table are kept as the kernel's bit-exact references and as the fallback
+when no kernel can be built.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,6 @@ class EngineState:
         "sizes",
         "k",
         "gbar",
-        "point_rows",
         "objective",
         "ops_delta",
         "ops_update",
@@ -101,18 +99,14 @@ class EngineState:
         self.measure = measure
         self.assign = partition.assign.copy()
         self.sizes = partition.sizes.copy()
-        self.k = partition.k
-        n, k = measure.n, partition.k
-        assign = self.assign
-        table = _point_to_set(measure, assign, k)
-        own = table[np.arange(n) * k + assign]
-        set_self = np.bincount(assign, weights=own, minlength=k).tolist()
+        self.k = k = partition.k
+        table = _point_to_set(measure, self.assign, k)
+        set_self = _set_self_sums(table, self.assign, k).tolist()
         sizes = self.sizes.tolist()
         gbar = [set_self[c] / (sizes[c] * sizes[c]) for c in range(k)]
         self.gbar = np.array(gbar)
-        self.point_rows = array("d", table.tobytes())
-        # n-by-k view of gamma(x_i, S_k); shares the live buffer.
-        self.point_to_set = np.frombuffer(self.point_rows, dtype=float).reshape(n, k)
+        # n-by-k gamma(x_i, S_k), the table the passes update in place.
+        self.point_to_set = table.reshape(measure.n, k)
         self.objective = sum(sizes[c] * gbar[c] for c in range(k))
         self.ops_delta = 0
         self.ops_update = 0
@@ -142,7 +136,7 @@ def _point_to_set(
     if library is None:
         return _point_to_set_reference(g, assign, k)
     table = np.zeros(g.n * k)
-    library.ksets_scatter(g.n, k, g.indptr, g.indices, g.data, assign, None, table)
+    library.ksets_scatter(g.n, k, g.indptr, g.indices, g.data, assign, table)
     return table
 
 
@@ -157,6 +151,16 @@ def _point_to_set_reference(
     )
 
 
+def _set_self_sums(table: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """gamma(S_c, S_c) for every set c from the flat point-to-set table.
+
+    Each point's own-set cell is its row sum within its set, in entry
+    order; bincount then adds these to their sets in point order.
+    """
+    own = table[np.arange(assign.size) * k + assign]
+    return np.bincount(assign, weights=own, minlength=k)
+
+
 def fast_adjusted_delta(state: EngineState, x: int, k: int) -> float:
     """O(1) adjusted triangular distance from the cached tables."""
     _check_index(x, state.measure.n)
@@ -164,7 +168,7 @@ def fast_adjusted_delta(state: EngineState, x: int, k: int) -> float:
     size = int(state.sizes[k])
     base = (
         float(state.measure.diag[x])
-        - 2.0 * state.point_rows[x * state.k + k] / size
+        - 2.0 * state.point_to_set.item(x, k) / size
         + float(state.gbar[k])
     )
     if state.assign[x] == k:
@@ -180,20 +184,18 @@ def _apply_move(state: EngineState, assign, sizes, gbar, x: int, src: int, dst: 
     sizes and gbar are lists that the caller writes back to the state,
     so this arithmetic runs on Python scalars for every caller.
     """
-    k = state.k
     sa = sizes[src]
     sb = sizes[dst]
-    point_rows = state.point_rows
-    base = x * k
+    table = state.point_to_set
     measure = state.measure
     own = float(measure.diag[x])
     old_contribution = sa * gbar[src] + sb * gbar[dst]
     # Shrink the source self-average and grow the destination one in
     # closed form; both reduce to (set self-sum +- edge terms) / new size^2.
-    gbar[src] = (sa * sa * gbar[src] - 2.0 * point_rows[base + src] + own) / (
+    gbar[src] = (sa * sa * gbar[src] - 2.0 * table.item(x, src) + own) / (
         (sa - 1) * (sa - 1)
     )
-    gbar[dst] = (sb * sb * gbar[dst] + 2.0 * point_rows[base + dst] + own) / (
+    gbar[dst] = (sb * sb * gbar[dst] + 2.0 * table.item(x, dst) + own) / (
         (sb + 1) * (sb + 1)
     )
     sizes[src] = sa - 1
@@ -204,9 +206,8 @@ def _apply_move(state: EngineState, assign, sizes, gbar, x: int, src: int, dst: 
     values = measure.data[lo:hi]
     # A row holds each neighbor once, so the fancy-indexed updates are
     # the same per-cell subtractions and additions as a scalar loop.
-    view = state.point_to_set
-    view[neighbors, src] -= values
-    view[neighbors, dst] += values
+    table[neighbors, src] -= values
+    table[neighbors, dst] += values
     state.objective += (
         (sa - 1) * gbar[src] + (sb + 1) * gbar[dst] - old_contribution
     )
@@ -274,7 +275,8 @@ def _run_pass_reference(state: EngineState) -> int:
     assign = state.assign.tolist()
     sizes = state.sizes.tolist()
     gbar = state.gbar.tolist()
-    point_rows = state.point_rows
+    # A flat memoryview reads the table's cells as Python floats.
+    rows = memoryview(state.point_to_set.reshape(-1))
     k = state.k
     moves = 0
     evaluations = 0
@@ -288,7 +290,7 @@ def _run_pass_reference(state: EngineState) -> int:
         base = x * k
         own = diag[x]
         best = (src_size / (src_size - 1.0)) * (
-            own - 2.0 * point_rows[base + src] / src_size + gbar[src]
+            own - 2.0 * rows[base + src] / src_size + gbar[src]
         )
         target = src
         for c in range(k):
@@ -296,7 +298,7 @@ def _run_pass_reference(state: EngineState) -> int:
                 continue
             size = sizes[c]
             cand = (size / (size + 1.0)) * (
-                own - 2.0 * point_rows[base + c] / size + gbar[c]
+                own - 2.0 * rows[base + c] / size + gbar[c]
             )
             if cand < best:
                 best = cand
@@ -322,39 +324,9 @@ def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
 def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
     """From-scratch objective sum_k gamma(S_k, S_k) / |S_k|."""
     _check_covers(partition, g.n)
-    per_set = _within_set_sums(g, partition.assign, partition.k).tolist()
+    assign, k = partition.assign, partition.k
+    per_set = _set_self_sums(_point_to_set(g, assign, k), assign, k).tolist()
     return sum(s / size for s, size in zip(per_set, partition.sizes.tolist()))
-
-
-def _within_set_sums(
-    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
-) -> np.ndarray:
-    """gamma(S_c, S_c) for every set c, in the reference summation order.
-
-    Each row's same-set entries are summed in entry order, then the row
-    sums are added to their sets in row order. assign is checked by the
-    caller, as for ``_point_to_set``.
-    """
-    from ._kernel import load
-
-    library = load()
-    if library is None:
-        return _within_set_sums_reference(g, assign, k)
-    per_set = np.zeros(k)
-    library.ksets_within(g.n, g.indptr, g.indices, g.data, assign, per_set)
-    return per_set
-
-
-def _within_set_sums_reference(
-    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
-) -> np.ndarray:
-    """numpy ``_within_set_sums``: the compiled kernel's oracle and fallback."""
-    rows = g.entry_rows()
-    same = assign[rows] == assign[g.indices]
-    # Two bincounts keep the reference summation order: entries within a
-    # row, then rows within a set, both in index order.
-    per_row = np.bincount(rows[same], weights=g.data[same], minlength=g.n)
-    return np.bincount(assign, weights=per_row, minlength=k)
 
 
 def _converge(state: EngineState, max_passes: int):

@@ -34,7 +34,8 @@ from .measure import (
 )
 
 # Absolute slack allowed on the diagonal-dominance check; the zero-row-sum
-# check scales with n * max|value| to absorb summation error.
+# check scales with n * max|value| (and a lift's |sigma|) to absorb
+# summation error.
 C3_TOL = 1e-9
 C2_TOL_SCALE = 1e-9
 
@@ -59,7 +60,9 @@ class SemiCohesionMeasure:
 
     def validate(self):
         g = self.underlying
-        tol = C2_TOL_SCALE * g.n * g.max_abs()
+        # A lift at sigma_min can be zero but for rounding, so its scale
+        # includes the shift that built it.
+        tol = C2_TOL_SCALE * g.n * max(g.max_abs(), abs(self.sigma_used or 0.0))
         worst = float(np.abs(g.row_sums()).max())
         if worst > tol:
             raise NotACohesion(f"row sums reach {worst:.3g}, beyond tolerance {tol:.3g}")

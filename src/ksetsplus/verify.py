@@ -12,7 +12,8 @@ sets, the two-set form
 
 meaning any two sets are clusters when viewed in isolation. is_cluster
 runs on a dense copy; pairwise_isolation_check runs on the stored
-entries of every kind of measure in O(m + n log n + K^2).
+entries of every kind of measure in O(m + Kn + n log n), through the
+engine's point-to-set table.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _point_to_set
 from .errors import EmptySet
 from .measure import Partition, SparseSymmetricMeasure, _check_covers, _check_index
 from .transforms import _as_cohesion, sigma_min
@@ -135,6 +137,9 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     of the diagonal and s the set sizes. A "similarity" is checked as its
     lift by sigma = sigma_min(g), unbuilt: lifting adds sigma to every
     off-diagonal dual distance, which adds sigma (1/|S_i| + 1/|S_j|).
+
+    Gamma comes from the point-to-set table gamma(x, S_b), so the check
+    costs O(m + Kn + n log n), the n log n for a cohesion's validation.
     """
     kind = g.kind if isinstance(g, SparseSymmetricMeasure) else "cohesion"
     measure, sigma_used = g, None
@@ -145,7 +150,10 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
         measure, sigma_used = cohesion.underlying, cohesion.sigma_used
     _check_covers(partition, measure.n)
     k, assign = partition.k, partition.assign
-    block_sums = _block_sums(measure, assign, k).reshape(k, k)
+    # Block (a, b) adds the table cells gamma(x, S_b) of the points x in S_a.
+    cells = (assign[:, None] * k + np.arange(k)).reshape(-1)
+    table = _point_to_set(measure, assign, k)
+    block_sums = np.bincount(cells, weights=table, minlength=k * k).reshape(k, k)
     sizes = partition.sizes.astype(float)
     if kind != "distance":
         diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
@@ -164,29 +172,3 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     a, b = np.unravel_index(int(flat.argmin()), flat.shape)
     return PairwiseReport(slack, float(flat[a, b]), (int(a), int(b)), sigma_used)
 
-
-def _block_sums(g: SparseSymmetricMeasure, assign: np.ndarray, k: int) -> np.ndarray:
-    """Flat K x K sums gamma(S_a, S_b) of the stored entries, in entry order.
-
-    assign is an int64 array of g.n set indices in [0, k), checked by the
-    caller; the compiled kernel reads it through a raw pointer.
-    """
-    from ._kernel import load
-
-    library = load()
-    if library is None:
-        return _block_sums_reference(g, assign, k)
-    sums = np.zeros(k * k)
-    library.ksets_scatter(
-        g.n, k, g.indptr, g.indices, g.data, assign, assign.ctypes.data, sums
-    )
-    return sums
-
-
-def _block_sums_reference(
-    g: SparseSymmetricMeasure, assign: np.ndarray, k: int
-) -> np.ndarray:
-    """numpy ``_block_sums``: the compiled kernel's oracle and fallback."""
-    return np.bincount(
-        assign[g.entry_rows()] * k + assign[g.indices], weights=g.data, minlength=k * k
-    )

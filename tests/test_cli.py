@@ -189,6 +189,21 @@ class TestVerifyCommand:
         assert code == 2
         assert "row 1 is labeled '2', point 0 is '0'" in capsys.readouterr().err
 
+    def test_any_integer_cluster_ids_verify_alike(self, tmp_path, edges3, capsys):
+        # {0, 1} and {2} written with 0-based, 1-based and gapped ids.
+        outputs = []
+        for ids in [(0, 0, 1), (1, 1, 2), (7, 7, -3)]:
+            part = tmp_path / "part.tsv"
+            part.write_text("".join(f"{i}\t{c}\n" for i, c in enumerate(ids)))
+            code = main(
+                ["verify", "--input", edges3, "--kind", "distance",
+                 "--partition", str(part)]
+            )
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
     def test_unknown_labels_are_exit_2(self, tmp_path, edges3, capsys):
         part = tmp_path / "part.tsv"
         part.write_text("x\t0\ny\t0\nz\t1\n")

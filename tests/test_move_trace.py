@@ -130,7 +130,7 @@ def _fingerprint(g, k, seed, sweep):
         (state.ops_delta, state.ops_update),
         objective_value(g, state.partition).hex(),
         state.objective.hex(),
-        _digest(bytes(state.point_rows)),
+        _digest(state.point_to_set.tobytes()),
     )
 
 

@@ -19,19 +19,13 @@ from ksetsplus.engine import (
     _point_to_set,
     _point_to_set_reference,
     _run_pass_reference,
-    _within_set_sums,
-    _within_set_sums_reference,
     init_state,
     objective_value,
     run,
     run_pass,
 )
 from ksetsplus.measure import Partition, from_dense
-from ksetsplus.verify import (
-    _block_sums,
-    _block_sums_reference,
-    pairwise_isolation_check,
-)
+from ksetsplus.verify import pairwise_isolation_check
 
 from conftest import (
     needs_cc,
@@ -65,7 +59,7 @@ def _snapshot(state):
         state.trace,
         (state.ops_delta, state.ops_update),
         state.objective.hex(),
-        bytes(state.point_rows),
+        state.point_to_set.tobytes(),
         state.gbar.tobytes(),
         state.sizes.tolist(),
         state.assign.tolist(),
@@ -120,13 +114,8 @@ def test_table_and_sum_kernels_match_references_bit_for_bit(
     assign = rng.integers(0, k, size=n)
     assign[rng.permutation(n)[:k]] = np.arange(k)
     partition = Partition.from_assign(assign, k=k)
-    for compiled, reference in [
-        (_point_to_set, _point_to_set_reference),
-        (_within_set_sums, _within_set_sums_reference),
-        (_block_sums, _block_sums_reference),
-    ]:
-        expected = reference(g, assign, partition.k).tobytes()
-        assert compiled(g, assign, partition.k).tobytes() == expected
+    expected = _point_to_set_reference(g, assign, partition.k).tobytes()
+    assert _point_to_set(g, assign, partition.k).tobytes() == expected
     objective = objective_value(g, partition)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "load", lambda: None)
@@ -140,19 +129,22 @@ def test_fallback_gives_the_same_run_and_one_warning(
     rng = np.random.default_rng(5)
     g = random_similarity_dense(rng, 40, density=0.3)
     d = random_semimetric(rng, 40)
+    c = random_cohesion(rng, 40)
     config = RunConfig(k=3, seed=2, restarts=3)
 
     def outcome():
         result = run(g, config)
-        report = pairwise_isolation_check(d, run(d, config).partition)
+        # Every kind's block sums come from the point-to-set table.
+        reports = [
+            pairwise_isolation_check(checked, run(clustered, config).partition)
+            for checked, clustered in [(g, g), (c, c.underlying), (d, d)]
+        ]
         return (
             result.partition.assign.tolist(),
             result.objective.hex(),
             result.history,
             objective_value(g, result.partition).hex(),
-            report.slack.tobytes(),
-            report.min_slack.hex(),
-            report.argmin,
+            [(r.slack.tobytes(), r.min_slack.hex(), r.argmin) for r in reports],
         )
 
     expected = outcome()

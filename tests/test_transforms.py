@@ -184,6 +184,14 @@ class TestLiftSimilarity:
             )
             assert lifted.diag[x] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
+    def test_two_points_lift_at_sigma_min(self):
+        # The lift is zero but for rounding residue of about 8e-17, which
+        # its own entries would scale to a tolerance of about 1e-25.
+        g = build_from_triples(2, [(0, 0, 0.3), (0, 1, 0.7), (1, 1, 0.1)])
+        lifted = lift_similarity(g, sigma_min(g))
+        assert lifted.sigma_used == sigma_min(g)
+        assert lifted.underlying.max_abs() < 1e-15
+
     def test_sigma_too_small(self):
         rng = np.random.default_rng(2)
         g = random_similarity_dense(rng, 8)
@@ -215,9 +223,11 @@ def dense_dominance(g: SparseSymmetricMeasure) -> tuple[float, int, int]:
     return float(dominance.min()), int(x), int(y)
 
 
-def dense_failure(g: SparseSymmetricMeasure) -> str | None:
-    """Which check of (C2) and the dense (C3) scan rejects g, if any."""
-    if np.abs(g.row_sums()).max() > C2_TOL_SCALE * g.n * g.max_abs():
+def dense_failure(g: SparseSymmetricMeasure, sigma: float = 0.0) -> str | None:
+    """Which check of (C2) and the dense (C3) scan rejects g, if any; a
+    lift's (C2) scale includes its shift sigma."""
+    scale = max(g.max_abs(), abs(sigma))
+    if np.abs(g.row_sums()).max() > C2_TOL_SCALE * g.n * scale:
         return "row sums"
     if dense_dominance(g)[0] < -C3_TOL:
         return "dominance"
@@ -267,7 +277,7 @@ class TestSparseDominance:
         if family == "lift" and n >= 2:
             sigma = sigma_min(g) + offset
             h = dense_lift(g, sigma)
-            failure = dense_failure(h)
+            failure = dense_failure(h, sigma)
             expected = {"dominance": SigmaTooSmall, "row sums": NotACohesion}
             assert raised(lambda: lift_similarity(g, sigma)) is expected.get(failure)
         elif family == "laplacian":

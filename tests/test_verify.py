@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksetsplus.engine import RunConfig, run
-from ksetsplus.errors import EmptySet, NotACohesion
+from ksetsplus.errors import EmptySet
 from ksetsplus.measure import (
     Partition,
     SparseSymmetricMeasure,
@@ -201,15 +201,7 @@ class TestIsolationMatchesDenseOracle:
         assign[rng.permutation(n)[:k]] = np.arange(k)
         part = Partition.from_assign(assign, k=k)
         report = pairwise_isolation_check(g, part)
-        try:
-            lifted = pairwise_isolation_check(lift_similarity(g, sigma_min(g)), part)
-        except NotACohesion:
-            # On two points the lift at sigma_min is zero but for rounding,
-            # which fails the (C2) tolerance scaled by its own largest
-            # entry. The unbuilt lift's slack is zero too.
-            assert n == 2
-            assert np.abs(report.slack).max() <= 1e-12
-            return
+        lifted = pairwise_isolation_check(lift_similarity(g, sigma_min(g)), part)
         assert report.sigma_used.hex() == lifted.sigma_used.hex()
         scale = max(1.0, float(np.abs(lifted.slack).max()))
         np.testing.assert_allclose(
