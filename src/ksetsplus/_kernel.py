@@ -1,10 +1,12 @@
 """Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The library holds three routines: ``ksets_pass`` (one engine pass),
+The library holds four routines: ``ksets_pass`` (one engine pass),
 ``ksets_scatter`` (the point-to-set table, from which the engine and
-``verify`` derive every set sum) and ``ksets_read`` (an edge list or
-dense CSV of a strict grammar into the float64 table np.loadtxt would
-return, or a refusal). The library is
+``verify`` derive every set sum), ``ksets_build`` (the CSR arrays of a
+measure from its (i, j, value) triples, or the first repeated or
+conflicting pair) and ``ksets_read`` (an edge list or dense CSV of a
+strict grammar into the float64 table np.loadtxt would return, or a
+refusal). The library is
 compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -58,6 +60,12 @@ _ROUTINES = {
         None,
         # n, k, CSR, assign, out
         [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, _F64_OUT],
+    ),
+    "ksets_build": (
+        ctypes.c_int64,
+        # n, count, triples, indptr, entries, pair, values
+        [ctypes.c_int64, ctypes.c_int64, _F64, _I64_OUT, _I64_OUT, _I64_OUT]
+        + [_F64_OUT],
     ),
     "ksets_read": (
         ctypes.c_int64,

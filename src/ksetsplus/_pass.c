@@ -1,13 +1,18 @@
-/* The compiled K-sets+ kernels over a CSR measure, the twins of
- * ksetsplus.engine._run_pass_reference and _point_to_set_reference, and the
- * text reader ksets_read, the twin of ksetsplus.io._read_loadtxt.
+/* The four compiled routines of ksetsplus: the K-sets+ kernels over a CSR
+ * measure, the twins of ksetsplus.engine._run_pass_reference and
+ * _point_to_set_reference; the CSR build ksets_build, the twin of
+ * ksetsplus.measure._build_from_triples_reference; and the text reader
+ * ksets_read, the twin of ksetsplus.io._read_loadtxt.
  *
  * Every expression keeps the reference's operation order and int-to-double
  * conversions, and the build passes -ffp-contract=off, so moves, tables and
  * sums match the numpy and Python code bit for bit. The callers check that
- * assign covers the measure's n points with set indices in [0, k).
+ * assign covers the measure's n points with set indices in [0, k), and that
+ * every triple's indices are integers in [0, n).
  */
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #ifndef KSETS_PASS_KEY
@@ -84,6 +89,116 @@ void ksets_scatter(int64_t n, int64_t k, const int64_t *indptr,
         for (int64_t p = indptr[r]; p < indptr[r + 1]; p++)
             row[assign[indices[p]]] += data[p];
     }
+}
+
+/* One orientation of a triple in its row: key is column * 2 + flag, where
+ * flag 1 marks the mirror of a triple (j, i, v) into row i. */
+struct ksets_entry {
+    int64_t key;
+    double value;
+};
+
+static int compare_keys(const void *a, const void *b)
+{
+    int64_t x = ((const struct ksets_entry *)a)->key;
+    int64_t y = ((const struct ksets_entry *)b)->key;
+    return (x > y) - (x < y);
+}
+
+/* Sort a row by key: insertion sort for the short rows of a sparse measure,
+ * qsort's O(d log d) for long ones (a star's hub). */
+static void sort_row(struct ksets_entry *row, int64_t d)
+{
+    if (d > 16) {
+        qsort(row, (size_t)d, sizeof *row, compare_keys);
+        return;
+    }
+    for (int64_t p = 1; p < d; p++) {
+        struct ksets_entry e = row[p];
+        int64_t q = p;
+        for (; q > 0 && row[q - 1].key > e.key; q--)
+            row[q] = row[q - 1];
+        row[q] = e;
+    }
+}
+
+/* The CSR arrays of count (i, j, v) triples, row-major (count, 3), without
+ * a global sort: count the degrees of both orientations into indptr (zeroed,
+ * n + 1 long), scatter every orientation into its row of entries (room for
+ * 2 * count), then sort, check and compact each row in place.
+ *
+ * Row r's entries from its diagonal onward are the pairs (r, c), c >= r, in
+ * (lo, hi, orientation) order, flag 0 being the triple (r, c) and flag 1 the
+ * triple (c, r), so scanning rows in order finds the first repeated
+ * orientation and the first conflicting mirror in the reference's key
+ * order. Returns m, with row r's columns and values in entries[indptr[r] ..
+ * indptr[r + 1]) as (column, value); -1 when a triple (pair[0], pair[1]) is
+ * given twice; or -2 when the pair (lo, hi) = pair is given as (lo, hi)
+ * with values[0] and as (hi, lo) with values[1], unequal and not both NaN.
+ * Repeats are reported before conflicts. Compaction keeps one entry per
+ * mirrored pair and drops exact zeros; NaNs stay for the measure's
+ * constructor to reject. */
+int64_t ksets_build(int64_t n, int64_t count, const double *triples,
+                    int64_t *indptr, struct ksets_entry *entries,
+                    int64_t *pair, double *values)
+{
+    for (int64_t t = 0; t < count; t++) {
+        int64_t i = (int64_t)triples[3 * t], j = (int64_t)triples[3 * t + 1];
+        indptr[i + 1]++;
+        if (i != j)
+            indptr[j + 1]++;
+    }
+    for (int64_t r = 0; r < n; r++)
+        indptr[r + 1] += indptr[r];
+    /* indptr[r] is row r's fill cursor, and ends as the end of row r. */
+    for (int64_t t = 0; t < count; t++) {
+        int64_t i = (int64_t)triples[3 * t], j = (int64_t)triples[3 * t + 1];
+        double v = triples[3 * t + 2];
+        entries[indptr[i]].key = 2 * j;
+        entries[indptr[i]++].value = v;
+        if (i != j) {
+            entries[indptr[j]].key = 2 * i + 1;
+            entries[indptr[j]++].value = v;
+        }
+    }
+    int64_t m = 0, start = 0, conflict = 0;
+    for (int64_t r = 0; r < n; r++) {
+        int64_t end = indptr[r];
+        struct ksets_entry *row = entries + start;
+        sort_row(row, end - start);
+        for (int64_t p = 0; p + 1 < end - start; p++) {
+            struct ksets_entry a = row[p], b = row[p + 1];
+            if (a.key < 2 * r)
+                continue;
+            if (a.key == b.key) {
+                pair[0] = a.key & 1 ? a.key >> 1 : r;
+                pair[1] = a.key & 1 ? r : a.key >> 1;
+                return -1;
+            }
+            if (!conflict && a.key >> 1 == b.key >> 1 && a.value != b.value
+                && !(isnan(a.value) && isnan(b.value))) {
+                conflict = 1;
+                pair[0] = r;
+                pair[1] = a.key >> 1;
+                values[0] = a.value;
+                values[1] = b.value;
+            }
+        }
+        /* Compacting row r writes only below its own start. */
+        indptr[r] = m;
+        for (int64_t p = start; p < end; p++) {
+            struct ksets_entry e = entries[p];
+            if (p + 1 < end && entries[p + 1].key >> 1 == e.key >> 1)
+                p++; /* the pair's other orientation, equal once checked */
+            if (e.value != 0.0) {
+                entries[m].key = e.key >> 1;
+                entries[m++].value = e.value;
+            }
+        }
+        start = end;
+    }
+    indptr[n] = m;
+    return conflict ? -2 : m;
 }
 
 /* 10^0 .. 10^22, each exactly representable as a double. */

@@ -324,6 +324,12 @@ def main(argv=None) -> int:
     except (KsetsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # The input is too large for this machine; exit 1 would read as a
+        # failed verification.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

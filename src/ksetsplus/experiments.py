@@ -28,8 +28,8 @@ from .errors import (
 from .measure import (
     Partition,
     SparseSymmetricMeasure,
-    _from_coo,
     _from_dense_unchecked,
+    build_from_triples,
 )
 
 EARTH_RADIUS_KM = 6371.0088
@@ -321,22 +321,20 @@ def random_sparse_similarity(
     chosen.sort()
     a, b = chosen // n, chosen % n
     v = rng.uniform(value_low, value_high, size=len(chosen))
-    keep = v != 0.0
-    a, b, v = a[keep], b[keep], v[keep]
     self_points: list[int] = []
     self_values: list[float] = []
     if diagonal_fraction > 0.0:
         for i in range(n):
             if rng.random() < diagonal_fraction:
-                d = float(rng.uniform(value_low, value_high))
-                if d != 0.0:
-                    self_points.append(i)
-                    self_values.append(d)
+                self_points.append(i)
+                self_values.append(float(rng.uniform(value_low, value_high)))
     self_index = np.array(self_points, dtype=np.int64)
-    return _from_coo(
-        n,
-        "similarity",
-        np.concatenate([a, b, self_index]),
-        np.concatenate([b, a, self_index]),
-        np.concatenate([v, v, self_values]),
+    # build_from_triples drops the zero draws.
+    triples = np.column_stack(
+        [
+            np.concatenate([a, self_index]),
+            np.concatenate([b, self_index]),
+            np.concatenate([v, self_values]),
+        ]
     )
+    return build_from_triples(n, triples)

@@ -220,10 +220,15 @@ def load_geo_csv(path) -> tuple[list[GeoPoint], DataSet]:
 
 
 def write_partition_tsv(path, dataset: DataSet, assign):
-    labels = range(dataset.n) if dataset.labels is None else dataset.labels
-    lines = [f"{label}\t{k}\n" for label, k in zip(labels, assign, strict=True)]
+    n = dataset.n
+    if len(assign) != n:
+        raise ValueError(f"{len(assign)} cluster ids for {n} points")
+    # One % over the interleaved labels and ids formats every line in C.
+    flat = [None] * (2 * n)
+    flat[0::2] = range(n) if dataset.labels is None else dataset.labels
+    flat[1::2] = assign
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        fh.write(("%s\t%s\n" * n) % tuple(flat))
 
 
 def read_partition_tsv(path) -> tuple[list[str], list[int]]:

@@ -186,14 +186,6 @@ def check_distance_values(g: SparseSymmetricMeasure):
         raise NotADistance(f"negative distance {g.data[p]} at ({i}, {j})")
 
 
-def _from_coo(n: int, kind: str, rows, cols, vals) -> SparseSymmetricMeasure:
-    """CSR measure from entries with distinct (row, col) keys."""
-    order = np.argsort(rows * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseSymmetricMeasure(n, kind, indptr, cols[order], vals[order])
-
-
 def build_from_triples(
     n: int, triples, kind: str = "similarity"
 ) -> SparseSymmetricMeasure:
@@ -203,6 +195,10 @@ def build_from_triples(
     orientations appear their values must agree. Exact zeros are dropped
     from storage. Index errors are reported before duplicates, and
     duplicates before conflicting mirror values.
+
+    The compiled ``ksets_build`` (see ``_kernel``) builds the CSR arrays
+    in O(N + n) plus a sort of each row; when no kernel can be built,
+    ``_build_from_triples_reference`` does.
     """
     # Indices are read as floats so that a fractional index is caught, not
     # truncated.
@@ -211,7 +207,7 @@ def build_from_triples(
         t = t.reshape(0, 3)
     elif t.ndim != 2 or t.shape[1] != 3:
         raise ArityMismatch(f"expected (i, j, value) triples, got shape {t.shape}")
-    fi, fj, v = t[:, 0], t[:, 1], t[:, 2]
+    fi, fj = t[:, 0], t[:, 1]
     if not (np.array_equal(np.floor(fi), fi) and np.array_equal(np.floor(fj), fj)):
         raise IndexOutOfRange("point indices must be integers")
     outside = (fi < 0) | (fi >= n) | (fj < 0) | (fj >= n)
@@ -219,7 +215,47 @@ def build_from_triples(
         p = int(np.argmax(outside))
         bad = fi[p] if not 0 <= fi[p] < n else fj[p]
         raise IndexOutOfRange(f"point index {bad:.0f} outside [0, {n})")
-    i, j = fi.astype(np.int64), fj.astype(np.int64)
+    if n < 1:  # as the constructor would, before the kernel writes indptr[n]
+        raise ArityMismatch("a measure needs at least one point")
+    from ._kernel import load
+
+    library = load()
+    if library is None:
+        return _build_from_triples_reference(n, t, kind)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    # One (column * 2 + mirrored, value bits) record per stored orientation.
+    entries = np.empty((2 * len(t), 2), dtype=np.int64)
+    pair = np.zeros(2, dtype=np.int64)
+    values = np.zeros(2)
+    m = library.ksets_build(
+        n, len(t), np.ascontiguousarray(t), indptr, entries, pair, values
+    )
+    if m == -1:
+        raise _given_twice(*pair)
+    if m == -2:
+        raise _conflicting_mirror(*pair, *values)
+    # Copies that own exactly m entries; the 2N-record buffer goes before
+    # the constructor's checks allocate.
+    indices = entries[:m, 0].copy()
+    data = entries[:m, 1].view(np.float64).copy()
+    del entries
+    return SparseSymmetricMeasure(n, kind, indptr, indices, data)
+
+
+def _given_twice(i, j) -> DuplicateEntry:
+    return DuplicateEntry(f"pair ({i}, {j}) given twice")
+
+
+def _conflicting_mirror(lo, hi, a, b) -> AsymmetricDuplicate:
+    return AsymmetricDuplicate(f"pair ({lo}, {hi}) given with values {a} and {b}")
+
+
+def _build_from_triples_reference(
+    n: int, t: np.ndarray, kind: str
+) -> SparseSymmetricMeasure:
+    """numpy ``build_from_triples`` after its index checks on the (N, 3)
+    array t: the compiled ``ksets_build``'s oracle and fallback."""
+    i, j, v = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
     # Sort by unordered pair, then orientation, so both orientations of a
     # pair are adjacent and a repeated orientation is adjacent to itself.
     lo = np.minimum(i, j)
@@ -232,7 +268,7 @@ def build_from_triples(
     repeated = np.flatnonzero(key[1:] == key[:-1])
     if repeated.size:
         p = order[repeated[0]]
-        raise DuplicateEntry(f"pair ({i[p]}, {j[p]}) given twice")
+        raise _given_twice(i[p], j[p])
     mirrored = np.flatnonzero(key[1:] // 2 == key[:-1] // 2)
     conflict = mirrored[
         (v[mirrored] != v[mirrored + 1])
@@ -240,20 +276,18 @@ def build_from_triples(
     ]
     if conflict.size:
         p = conflict[0]
-        raise AsymmetricDuplicate(
-            f"pair ({lo[p]}, {hi[p]}) given with values {v[p]} and {v[p + 1]}"
-        )
+        raise _conflicting_mirror(lo[p], hi[p], v[p], v[p + 1])
     keep = v != 0.0
     keep[mirrored + 1] = False
     lo, hi, v = lo[keep], hi[keep], v[keep]
     off = lo != hi
-    return _from_coo(
-        n,
-        kind,
-        np.concatenate([lo, hi[off]]),
-        np.concatenate([hi, lo[off]]),
-        np.concatenate([v, v[off]]),
-    )
+    rows = np.concatenate([lo, hi[off]])
+    cols = np.concatenate([hi, lo[off]])
+    vals = np.concatenate([v, v[off]])
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseSymmetricMeasure(n, kind, indptr, cols[order], vals[order])
 
 
 def from_dense(matrix, kind: str = "similarity") -> SparseSymmetricMeasure:

@@ -154,6 +154,9 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     cells = (assign[:, None] * k + np.arange(k)).reshape(-1)
     table = _point_to_set(measure, assign, k)
     block_sums = np.bincount(cells, weights=table, minlength=k * k).reshape(k, k)
+    # Blocks (a, b) and (b, a) add different cells; their mean, and every
+    # step below, is symmetric bit for bit, so argmin names the pair a < b.
+    block_sums = (block_sums + block_sums.T) / 2.0
     sizes = partition.sizes.astype(float)
     if kind != "distance":
         diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
@@ -162,7 +165,7 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
         ) / 2.0 - block_sums
     dbar = block_sums / np.outer(sizes, sizes)
 
-    slack = 2.0 * dbar - dbar.diagonal()[:, None] - dbar.diagonal()[None, :]
+    slack = 2.0 * dbar - (dbar.diagonal()[:, None] + dbar.diagonal()[None, :])
     if kind == "similarity":
         slack += sigma_used * (1.0 / sizes[:, None] + 1.0 / sizes[None, :])
     np.fill_diagonal(slack, 0.0)

@@ -351,3 +351,26 @@ def test_sparse_similarity_at_n_20000_clusters_and_verifies(tmp_path, monkeypatc
     out = capsys.readouterr().out
     assert f"sigma_used\t{sigma_min(g)!r}\n" in out
     assert "verification passed" in out
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (
+            MemoryError("Unable to allocate 74.5 GiB for an array"),
+            "error: out of memory: Unable to allocate 74.5 GiB for an array\n",
+        ),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_out_of_memory_exits_2_with_one_line(
+    tmp_path, edges3, monkeypatch, capsys, error, line
+):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_cluster", exhausted)
+    out = tmp_path / "part.tsv"
+    code = main(["cluster", "--input", edges3, "--k", "2", "--output", str(out)])
+    assert code == cli.EXIT_INPUT == 2
+    assert capsys.readouterr().err == line

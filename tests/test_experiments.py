@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ksetsplus import _kernel
 from ksetsplus.engine import RunConfig, run
 from ksetsplus.errors import (
     ArityMismatch,
@@ -261,3 +263,29 @@ class TestRandomSparseSimilarity:
     def test_symmetric(self):
         g = random_sparse_similarity(80, 5.0, seed=2, diagonal_fraction=0.3)
         g.check_symmetry()
+
+    # sha256 prefixes of indptr, indices, data and diag as the COO path
+    # (sort by row * n + col) built them before build_from_triples did.
+    PINS = {
+        (0, 0.0): "cab8bbf3d0047557",
+        (0, 0.3): "182ef94cd358d8ca",
+        (1, 0.0): "0bab28ace76b2918",
+        (1, 0.3): "ff1f580a2fdd7590",
+        (2, 0.0): "d14c647f480af2f2",
+        (2, 0.3): "889791ae22f93e53",
+        (3, 0.0): "be1040bd085ee05a",
+        (3, 0.3): "1cdc3ebd877cddbc",
+        (4, 0.0): "0bafc2cc130baccd",
+        (4, 0.3): "cb688a1b25c24f1f",
+    }
+
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_csr_bytes_are_pinned(self, kernel, monkeypatch):
+        if not kernel:
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        for (seed, fraction), pin in self.PINS.items():
+            g = random_sparse_similarity(60, 5.0, seed, diagonal_fraction=fraction)
+            digest = hashlib.sha256()
+            for array in (g.indptr, g.indices, g.data, g.diag):
+                digest.update(array.tobytes())
+            assert digest.hexdigest()[:16] == pin, (seed, fraction)

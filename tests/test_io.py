@@ -708,6 +708,22 @@ class TestPartitionTsv:
             write_partition_tsv(path, DataSet(3), [0, 1])
         assert not path.exists()
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_write_matches_the_f_string_join(self, tmp_path, labeled):
+        n = 5000
+        rng = np.random.default_rng(4)
+        assign = rng.integers(0, 12, size=n).tolist()
+        labels = tuple(f"h\u00f6st-{i}" for i in rng.permutation(n)) if labeled else None
+        dataset = DataSet(n, labels)
+        names = range(n) if labels is None else labels
+        # The per-line f-string join the single % format replaced.
+        expected = "".join(
+            [f"{label}\t{k}\n" for label, k in zip(names, assign, strict=True)]
+        )
+        path = tmp_path / "part.tsv"
+        write_partition_tsv(path, dataset, assign)
+        assert path.read_bytes() == expected.encode("utf-8")
+
     @given(
         st.lists(st.integers(0, 6), min_size=1, max_size=40),
         st.booleans(),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksetsplus import _kernel
 from ksetsplus.errors import (
     ArityMismatch,
     AsymmetricDuplicate,
@@ -27,6 +28,7 @@ from ksetsplus.measure import (
     DataSet,
     Partition,
     SparseSymmetricMeasure,
+    _build_from_triples_reference,
     build_from_triples,
     from_dense,
     measure_of_sets,
@@ -34,7 +36,7 @@ from ksetsplus.measure import (
 )
 from ksetsplus.transforms import induced_cohesion, lift_similarity
 
-from conftest import random_similarity_dense
+from conftest import needs_cc, random_similarity_dense
 
 
 class TestBuildFromTriples:
@@ -284,7 +286,51 @@ triple_lists = st.integers(1, 6).flatmap(
 )
 
 
+CSR = ("indptr", "indices", "data", "diag")
+
+
+def build_outcome(n, triples):
+    """CSR bytes of build_from_triples, or its error's type and message."""
+    try:
+        g = build_from_triples(n, triples)
+    except KsetsError as exc:
+        return type(exc), str(exc)
+    return [getattr(g, name).tobytes() for name in CSR]
+
+
+def reference_outcome(n, triples):
+    """build_outcome with no kernel, so the numpy reference builds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "load", lambda: None)
+        return build_outcome(n, triples)
+
+
+# Small point counts and few values, so repeats, mirrors, zeros and NaNs
+# (alone and mirrored) are common.
+oracle_triples = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5, np.nan]),
+            ),
+            max_size=40,
+        ),
+    )
+)
+
+
 class TestBuilderProperty:
+    @needs_cc
+    @given(st.one_of(triple_lists, oracle_triples))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_matches_reference_bytes(self, case):
+        n, triples = case
+        assert _kernel.load() is not None
+        assert build_outcome(n, triples) == reference_outcome(n, triples)
+
     @given(triple_lists)
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_builder(self, case):
@@ -319,6 +365,109 @@ class TestBuilderProperty:
         g = build_from_triples(n, table)
         for name in ("indptr", "indices", "data", "diag"):
             assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.fixture(params=[pytest.param("kernel", marks=needs_cc), "reference"])
+def build_path(request, monkeypatch):
+    """Run build_from_triples through the compiled routine or the reference."""
+    if request.param == "kernel":
+        assert _kernel.load() is not None
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    return request.param
+
+
+class TestBuildPaths:
+    """Errors, their precedence and edge cases, on both build paths."""
+
+    @pytest.mark.parametrize(
+        "triples, error, message",
+        [
+            # An index error comes before a duplicate.
+            (
+                [(0, 1, 1.0), (0, 1, 1.0), (0, 5, 1.0)],
+                IndexOutOfRange,
+                "point index 5 outside [0, 4)",
+            ),
+            # A duplicate comes before an earlier conflicting mirror.
+            (
+                [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 1.0), (2, 3, 1.0)],
+                DuplicateEntry,
+                "pair (2, 3) given twice",
+            ),
+            # The first repeat in (lo, hi, orientation) order, not input order.
+            (
+                [(3, 2, 1.0), (3, 2, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 1, 1.0)],
+                DuplicateEntry,
+                "pair (2, 1) given twice",
+            ),
+            (
+                [(1, 1, 1.0), (0, 1, 1.0), (1, 1, 2.0)],
+                DuplicateEntry,
+                "pair (1, 1) given twice",
+            ),
+            (
+                [(2, 3, 1.0), (3, 2, 2.0), (3, 0, 5.0), (0, 3, 1.0)],
+                AsymmetricDuplicate,
+                "pair (0, 3) given with values 1.0 and 5.0",
+            ),
+            # One NaN mirror conflicts; the (lo, hi) orientation's value is first.
+            (
+                [(0, 1, np.nan), (1, 0, 1.0)],
+                AsymmetricDuplicate,
+                "pair (0, 1) given with values nan and 1.0",
+            ),
+            (
+                [(1, 0, np.nan), (0, 1, 1.0)],
+                AsymmetricDuplicate,
+                "pair (0, 1) given with values 1.0 and nan",
+            ),
+            # Two NaN mirrors agree, and the constructor rejects the value.
+            (
+                [(1, 0, np.nan), (0, 1, np.nan)],
+                NonFiniteValue,
+                "non-finite value nan at (0, 1)",
+            ),
+        ],
+    )
+    def test_errors(self, build_path, triples, error, message):
+        assert build_outcome(4, triples) == (error, message)
+
+    def test_mirrors_given_both_ways_are_stored_once(self, build_path):
+        triples = [(1, 0, 2.0), (0, 1, 2.0), (2, 0, -1.0), (0, 2, -1.0), (2, 2, 3.0)]
+        g = build_from_triples(3, triples)
+        assert g.indptr.tolist() == [0, 2, 3, 5]
+        assert g.indices.tolist() == [1, 2, 0, 0, 2]
+        assert g.data.tolist() == [2.0, -1.0, 2.0, -1.0, 3.0]
+        # The arrays own exactly m entries.
+        assert g.indices.base is None and g.data.base is None
+
+    def test_all_zero_rows_store_nothing(self, build_path):
+        triples = [(0, 1, 0.0), (1, 0, -0.0), (2, 2, 0.0), (0, 2, 0.0), (3, 1, 1.0)]
+        g = build_from_triples(4, triples)
+        assert g.indptr.tolist() == [0, 0, 1, 1, 2]
+        assert g.indices.tolist() == [3, 1]
+        assert not g.diag.any()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_points_is_rejected(self, build_path, n):
+        with pytest.raises(ArityMismatch, match="at least one point"):
+            build_from_triples(n, [])
+
+
+@needs_cc
+def test_shuffled_star_builds_like_the_reference():
+    # Point 0 is joined to all others, in random order and orientation: a
+    # row of 99,999 entries that a quadratic row sort would crawl through.
+    n = 100_000
+    rng = np.random.default_rng(7)
+    triples = np.column_stack(
+        [np.zeros(n - 1), rng.permutation(np.arange(1, n)), rng.uniform(0.5, 1.0, n - 1)]
+    )
+    flip = rng.random(n - 1) < 0.5
+    triples[flip, :2] = triples[flip, 1::-1]
+    assert _kernel.load() is not None
+    assert build_outcome(n, triples) == reference_outcome(n, triples)
 
 
 def relabel_loop(assign):

@@ -152,7 +152,27 @@ class TestPairwiseIsolation:
             cohesion3, Partition.from_assign([0, 1, 1], k=2)
         )
         assert report.slack.shape == (2, 2)
-        assert report.argmin in ((0, 1), (1, 0))
+        assert report.argmin == (0, 1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_slack_is_exactly_symmetric_for_every_kind(self, seed):
+        rng = np.random.default_rng(1700 + seed)
+        n = int(rng.integers(6, 40))
+        k = int(rng.integers(3, min(n, 8) + 1))
+        distance = sparse_semimetric(rng, n, density=float(rng.uniform(0.2, 1.0)))
+        cohesion = induced_cohesion(distance)
+        inputs = {
+            "distance": distance,
+            "similarity": random_similarity_dense(rng, n, density=0.5),
+            "cohesion": cohesion.underlying,
+            "semi-cohesion": cohesion,
+        }
+        part = random_partition(rng, n, k)
+        for name, g in inputs.items():
+            report = pairwise_isolation_check(g, part)
+            assert np.array_equal(report.slack, report.slack.T), name
+            # The first minimal pair in row-major order lies above the diagonal.
+            assert report.argmin[0] < report.argmin[1], name
 
     def test_distance_input_is_its_own_dual(self, semimetric3, cohesion3):
         part = Partition.from_assign([0, 1, 1], k=2)
