@@ -291,15 +291,13 @@ def random_sparse_similarity(
     n: int,
     avg_degree: float,
     seed: int,
-    value_low: float = -1.0,
-    value_high: float = 1.0,
     diagonal_fraction: float = 0.0,
 ) -> SparseSymmetricMeasure:
     """Random symmetric similarity with about avg_degree entries per row.
 
     Used by the benchmark command and as a generic engine test input.
-    Values are uniform in [value_low, value_high); a fraction of points
-    optionally receives a nonzero self-similarity.
+    Values are uniform in [-1, 1); a fraction of points optionally
+    receives a nonzero self-similarity.
     """
     rng = np.random.default_rng(seed)
     target_edges = int(round(avg_degree * n / 2.0))
@@ -320,14 +318,14 @@ def random_sparse_similarity(
         chosen = np.concatenate([chosen, taken])
     chosen.sort()
     a, b = chosen // n, chosen % n
-    v = rng.uniform(value_low, value_high, size=len(chosen))
+    v = rng.uniform(-1.0, 1.0, size=len(chosen))
     self_points: list[int] = []
     self_values: list[float] = []
     if diagonal_fraction > 0.0:
         for i in range(n):
             if rng.random() < diagonal_fraction:
                 self_points.append(i)
-                self_values.append(float(rng.uniform(value_low, value_high)))
+                self_values.append(float(rng.uniform(-1.0, 1.0)))
     self_index = np.array(self_points, dtype=np.int64)
     # build_from_triples drops the zero draws.
     triples = np.column_stack(

@@ -15,8 +15,8 @@ moves every adjusted set distance by the same constant, so clustering
 decisions are unchanged.
 
 These transforms destroy sparsity and are stored densely; they serve
-small instances and the tests' oracles. The engine, ``verify``, the
-validation and the shift bound run on the stored entries.
+small instances and the tests' oracles. The engine and ``verify`` run on
+the stored entries, and (C3) and the exact sigma_min share one scan.
 """
 
 from __future__ import annotations
@@ -82,31 +82,36 @@ class SemiCohesionMeasure:
 
 
 def _dominance_minimum(g: SparseSymmetricMeasure) -> tuple[float, int, int]:
-    """Smallest (g(x, x) + g(y, y)) - 2 g(x, y) and its first pair in
-    row-major order, in O(m + n log n).
+    """Smallest (g(x, x) + g(y, y)) - 2 g(x, y) over x != y and its first
+    pair in row-major order (+inf at (0, 0) if n = 1), in O(m + n log n).
 
     An unstored pair's term is g(x, x) + g(y, y), smallest at row x's
-    unstored y of smallest diagonal: the mex, at most deg(x), of the
-    sorted-diagonal ranks of x's stored columns. y may be x: an unstored
-    diagonal is 0, as is the diagonal's term.
+    unstored y != x of smallest diagonal: the mex, at most deg(x) + 1, of
+    the sorted-diagonal ranks of x's stored columns and of x itself. The
+    pair (x, x) is left out; its term is exactly 0.
     """
     n, diag, rows = g.n, g.diag, g.entry_rows()
     order = np.argsort(diag)
-    ranks = np.argsort(order)[g.indices]
-    # Row x owns the slots start[x] + r, r <= deg(x), of a flat table.
-    start = g.indptr[:-1] + np.arange(n)
-    low = ranks < np.diff(g.indptr)[rows]
-    taken = np.zeros(g.m + n, dtype=bool)
-    taken[start[rows[low]] + ranks[low]] = True
+    rank = np.argsort(order)
+    # Row x owns the slots start[x] + r, r <= deg(x) + 1, of a flat table.
+    start = g.indptr[:-1] + 2 * np.arange(n)
+    marked_rows = np.concatenate([rows, np.arange(n)])
+    ranks = np.concatenate([rank[g.indices], rank])
+    low = ranks <= np.diff(g.indptr)[marked_rows]
+    taken = np.zeros(g.m + 2 * n, dtype=bool)
+    taken[start[marked_rows[low]] + ranks[low]] = True
     free = np.flatnonzero(~taken)
     mex = free[np.searchsorted(free, start)] - start
     # Rank n stands for a full row.
     row_min = diag + np.append(diag[order], np.inf)[mex]
-    np.minimum.at(row_min, rows, (diag[rows] + diag[g.indices]) - 2.0 * g.data)
+    terms = (diag[rows] + diag[g.indices]) - 2.0 * g.data
+    terms[rows == g.indices] = np.inf
+    np.minimum.at(row_min, rows, terms)
     x = int(row_min.argmin())
     lo, hi = g.indptr[x], g.indptr[x + 1]
     row = diag[x] + diag
     row[g.indices[lo:hi]] -= 2.0 * g.data[lo:hi]
+    row[x] = np.inf
     return float(row_min[x]), x, int(row.argmin())
 
 
@@ -152,26 +157,13 @@ def sigma_min(g: SparseSymmetricMeasure) -> float:
     """Smallest safe shift for lifting a similarity.
 
     Returns max over pairs x != y of gamma(x,y) - (gamma(x,x)+gamma(y,y))/2,
-    scanning stored entries and bounding the unstored (zero-valued) pairs
-    through the two smallest diagonal values, so the cost is O(m + n)
-    rather than O(n^2). When some pairs are unstored the diagonal bound
-    can exceed the true maximum; any sigma at or above the returned value
-    is still safe.
+    exactly, unstored (zero-valued) pairs included: minus half the (C3)
+    scan's minimum, in O(m + n log n). Halving is exact, so a stored
+    pair's term has the bits of the formula above.
     """
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise TooFewPoints("the shift bound needs at least two points")
-    diag = g.diag
-    rows = g.entry_rows()
-    upper = g.indices > rows
-    i, j = rows[upper], g.indices[upper]
-    candidates = g.data[upper] - (diag[i] + diag[j]) / 2.0
-    best = float(candidates.max()) if candidates.size else -np.inf
-    if candidates.size < n * (n - 1) // 2:
-        # Some pair has value zero; bound those by the two smallest diagonals.
-        d1, d2 = np.partition(diag, 1)[:2]
-        best = max(best, -(d1 + d2) / 2.0)
-    return float(best)
+    return -_dominance_minimum(g)[0] / 2.0
 
 
 def lift_similarity(

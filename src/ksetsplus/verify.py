@@ -10,10 +10,10 @@ sets, the two-set form
 
     2 dbar(S_i, S_j) - dbar(S_i, S_i) - dbar(S_j, S_j) >= 0
 
-meaning any two sets are clusters when viewed in isolation. is_cluster
-runs on a dense copy; pairwise_isolation_check runs on the stored
-entries of every kind of measure in O(m + Kn + n log n), through the
-engine's point-to-set table.
+meaning any two sets are clusters when viewed in isolation. Both run on
+the stored entries, from block sums of the engine's point-to-set table:
+is_cluster over S and its complement in O(m + n log n), and
+pairwise_isolation_check on every kind of measure in O(m + Kn + n log n).
 """
 
 from __future__ import annotations
@@ -71,7 +71,13 @@ def _slack_bool(slack: float, scale: float) -> bool:
 
 
 def is_cluster(g, s) -> ClusterReport:
-    """Evaluate the six cluster statements for a point set."""
+    """Evaluate the six cluster statements for a point set.
+
+    Every slack is read from the 2 x 2 block sums of g and of its dual
+    over S and its complement, in O(m + n log n). Statements (i)-(iv) are
+    tolerant to 1e-12 of the sum of |g|, and (v)-(vi) to 1e-12 of the
+    largest |block mean of the dual|.
+    """
     g = _as_cohesion(g)
     n = g.n
     members = sorted(set(int(p) for p in s))
@@ -79,47 +85,53 @@ def is_cluster(g, s) -> ClusterReport:
         raise EmptySet("cannot test the empty set")
     for p in members:
         _check_index(p, n)
-    dense = g.underlying.to_dense()
-    diag = g.underlying.diag
-    mask = np.zeros(n, dtype=bool)
-    mask[members] = True
-    inside = int(mask.sum())
+    inside = len(members)
     outside = n - inside
+    assign = np.ones(n, dtype=np.int64)
+    assign[members] = 0
+    partition = Partition.from_assign(assign)
+    gamma, dual = _block_sums(g.underlying, partition, "cohesion")
 
-    self_sum = float(dense[np.ix_(mask, mask)].sum())
-    gamma_scale = float(np.abs(dense).sum())
-    statements: dict[str, bool | None] = dict.fromkeys(STATEMENTS)
     slacks: dict[str, float | None] = dict.fromkeys(STATEMENTS)
-    statements["i"] = _slack_bool(self_sum, gamma_scale)
-    slacks["i"] = self_sum
-    if outside == 0:
-        return ClusterReport(inside, 0, statements, slacks, partial=True)
+    slacks["i"] = float(gamma[0, 0])
+    scales = dict.fromkeys(STATEMENTS, float(np.abs(g.underlying.data).sum()))
+    if outside:
+        slacks["ii"] = float(gamma[1, 1])
+        slacks["iii"] = float(-gamma[0, 1])
+        slacks["iv"] = float(gamma[0, 0] - gamma[0, 1])
+        # Average-distance forms via the block means of the dual semi-metric.
+        dbar = dual / np.outer(partition.sizes, partition.sizes)
+        dbar_so = dual[0].sum() / (inside * n)
+        slacks["v"] = float(2.0 * dbar_so - dual.sum() / (n * n) - dbar[0, 0])
+        slacks["vi"] = float(2.0 * dbar[0, 1] - dbar[0, 0] - dbar[1, 1])
+        scales["v"] = scales["vi"] = float(np.abs(dbar).max())
+    statements = {
+        key: None if slack is None else _slack_bool(slack, scales[key])
+        for key, slack in slacks.items()
+    }
+    return ClusterReport(inside, outside, statements, slacks, partial=not outside)
 
-    comp = ~mask
-    comp_sum = float(dense[np.ix_(comp, comp)].sum())
-    cross_sum = float(dense[np.ix_(mask, comp)].sum())
-    statements["ii"] = _slack_bool(comp_sum, gamma_scale)
-    slacks["ii"] = comp_sum
-    statements["iii"] = _slack_bool(-cross_sum, gamma_scale)
-    slacks["iii"] = -cross_sum
-    statements["iv"] = _slack_bool(self_sum - cross_sum, gamma_scale)
-    slacks["iv"] = self_sum - cross_sum
 
-    # Average-distance forms via the dual semi-metric.
-    dist = (diag[:, None] + diag[None, :]) / 2.0 - dense
-    d_scale = float(np.abs(dist).max()) if n else 0.0
-    dbar_ss = float(dist[np.ix_(mask, mask)].mean())
-    dbar_cc = float(dist[np.ix_(comp, comp)].mean())
-    dbar_sc = float(dist[np.ix_(mask, comp)].mean())
-    dbar_so = float(dist[mask, :].mean())
-    dbar_oo = float(dist.mean())
-    slack_v = 2.0 * dbar_so - dbar_oo - dbar_ss
-    slack_vi = 2.0 * dbar_sc - dbar_ss - dbar_cc
-    statements["v"] = _slack_bool(slack_v, d_scale)
-    slacks["v"] = slack_v
-    statements["vi"] = _slack_bool(slack_vi, d_scale)
-    slacks["vi"] = slack_vi
-    return ClusterReport(inside, outside, statements, slacks, partial=False)
+def _block_sums(
+    measure: SparseSymmetricMeasure, partition: Partition, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block sums Gamma of measure over partition's sets, and B of its dual:
+    Gamma for a "distance", else (D s^T + s D^T) / 2 - Gamma, where D holds
+    the per-set sums of the diagonal and s the set sizes."""
+    k, assign = partition.k, partition.assign
+    # Block (a, b) adds the table cells gamma(x, S_b) of the points x in S_a.
+    cells = (assign[:, None] * k + np.arange(k)).reshape(-1)
+    table = _point_to_set(measure, assign, k)
+    gamma = np.bincount(cells, weights=table, minlength=k * k).reshape(k, k)
+    # Blocks (a, b) and (b, a) add different cells; their mean, and every
+    # step below, is symmetric bit for bit.
+    gamma = (gamma + gamma.T) / 2.0
+    if kind == "distance":
+        return gamma, gamma
+    sizes = partition.sizes.astype(float)
+    diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
+    dual = (np.outer(diag_sums, sizes) + np.outer(sizes, diag_sums)) / 2.0 - gamma
+    return gamma, dual
 
 
 def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
@@ -131,15 +143,14 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
 
     g is checked on its stored entries. A SemiCohesionMeasure or a
     "cohesion" (validated first) is checked through its dual, and a
-    "distance" is its own dual (an unstored pair is distance 0): with
-    Gamma the block sums of g, the dual's are B = Gamma for a distance,
-    else B = (D s^T + s D^T) / 2 - Gamma, where D holds the per-set sums
-    of the diagonal and s the set sizes. A "similarity" is checked as its
-    lift by sigma = sigma_min(g), unbuilt: lifting adds sigma to every
-    off-diagonal dual distance, which adds sigma (1/|S_i| + 1/|S_j|).
+    "distance" is its own dual (an unstored pair is distance 0). A
+    "similarity" is checked as its lift by sigma = sigma_min(g), unbuilt:
+    lifting adds sigma to every off-diagonal dual distance, which adds
+    sigma (1/|S_i| + 1/|S_j|).
 
-    Gamma comes from the point-to-set table gamma(x, S_b), so the check
-    costs O(m + Kn + n log n), the n log n for a cohesion's validation.
+    The block sums come from the point-to-set table gamma(x, S_b), so the
+    check costs O(m + Kn + n log n), the n log n for the validation of a
+    cohesion or the shift of a similarity.
     """
     kind = g.kind if isinstance(g, SparseSymmetricMeasure) else "cohesion"
     measure, sigma_used = g, None
@@ -149,29 +160,18 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
         cohesion = _as_cohesion(g)
         measure, sigma_used = cohesion.underlying, cohesion.sigma_used
     _check_covers(partition, measure.n)
-    k, assign = partition.k, partition.assign
-    # Block (a, b) adds the table cells gamma(x, S_b) of the points x in S_a.
-    cells = (assign[:, None] * k + np.arange(k)).reshape(-1)
-    table = _point_to_set(measure, assign, k)
-    block_sums = np.bincount(cells, weights=table, minlength=k * k).reshape(k, k)
-    # Blocks (a, b) and (b, a) add different cells; their mean, and every
-    # step below, is symmetric bit for bit, so argmin names the pair a < b.
-    block_sums = (block_sums + block_sums.T) / 2.0
+    _, dual = _block_sums(measure, partition, kind)
     sizes = partition.sizes.astype(float)
-    if kind != "distance":
-        diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
-        block_sums = (
-            np.outer(diag_sums, sizes) + np.outer(sizes, diag_sums)
-        ) / 2.0 - block_sums
-    dbar = block_sums / np.outer(sizes, sizes)
+    # Every step is symmetric bit for bit, so argmin names the pair a < b.
+    dbar = dual / np.outer(sizes, sizes)
 
     slack = 2.0 * dbar - (dbar.diagonal()[:, None] + dbar.diagonal()[None, :])
     if kind == "similarity":
         slack += sigma_used * (1.0 / sizes[:, None] + 1.0 / sizes[None, :])
     np.fill_diagonal(slack, 0.0)
-    if k < 2:
+    if partition.k < 2:
         return PairwiseReport(slack, float("inf"), None, sigma_used)
-    flat = np.where(np.eye(k, dtype=bool), np.inf, slack)
+    flat = np.where(np.eye(partition.k, dtype=bool), np.inf, slack)
     a, b = np.unravel_index(int(flat.argmin()), flat.shape)
     return PairwiseReport(slack, float(flat[a, b]), (int(a), int(b)), sigma_used)
 

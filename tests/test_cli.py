@@ -225,6 +225,22 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    def test_similarity_is_checked_at_the_exact_shift(self, tmp_path, capsys):
+        # sigma_min is 2.5, not the two-smallest-diagonals bound of 5.0, at
+        # which {0, 1}, {2, 3} would pass with slack 1.0.
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 0 -5\n1 1 -5\n0 1 -4\n2 3 1\n")
+        part = tmp_path / "part.tsv"
+        part.write_text("0\t0\n1\t0\n2\t1\n3\t1\n")
+        code = main(
+            ["verify", "--input", str(edges), "--kind", "similarity",
+             "--partition", str(part)]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "sigma_used\t2.5\n" in out
+        assert "min_slack\t-1.5\n" in out
+
     def test_similarity_is_lifted_before_checking(self, tmp_path, edges3):
         out = tmp_path / "part.tsv"
         main(
@@ -259,6 +275,13 @@ class TestOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["edge_accuracy"] > 0.8
         assert out_graph.exists()
+
+    def test_sbm_k_other_than_two_is_exit_3_before_generating(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "sbm_generate", forbidden)
+        assert main(["sbm", "--n", "200", "--k", "3"]) == 3
+        assert "edge accuracy is defined for k=2" in capsys.readouterr().err
 
     def test_sbm_invalid_probability_is_exit_3(self):
         assert main(["sbm", "--n", "200", "--c", "8", "--p", "0.9"]) == 3
@@ -299,6 +322,29 @@ class TestOtherCommands:
 
 def forbidden(*args, **kwargs):
     raise AssertionError("dense transform on a command path")
+
+
+@pytest.mark.parametrize("command", ["cluster", "verify"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--format", "dense", "--n", "7"], ["--header"], ["--symmetrize"]],
+    ids=["dense_n", "edges_header", "edges_symmetrize"],
+)
+def test_flags_the_format_ignores_are_exit_2(
+    tmp_path, edges3, monkeypatch, capsys, command, flags
+):
+    monkeypatch.setattr(io, "load_edge_list", forbidden)
+    monkeypatch.setattr(io, "load_dense_csv", forbidden)
+    part = tmp_path / "part.tsv"
+    tail = {
+        "cluster": ["--k", "2", "--output", str(part)],
+        "verify": ["--partition", str(part)],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--input", edges3, *flags, *tail])
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not part.exists()
 
 
 def test_distance_commands_build_no_dense_cohesion(tmp_path, edges3, monkeypatch):

@@ -103,6 +103,20 @@ class TestDualDistance:
         )
 
 
+def two_smallest_diagonals_bound(g: SparseSymmetricMeasure) -> float:
+    """The former sigma_min: exact on stored pairs, with every unstored pair
+    bounded by the two smallest diagonals. Never below the exact shift."""
+    n, diag, rows = g.n, g.diag, g.entry_rows()
+    upper = g.indices > rows
+    i, j = rows[upper], g.indices[upper]
+    candidates = g.data[upper] - (diag[i] + diag[j]) / 2.0
+    best = float(candidates.max()) if candidates.size else -np.inf
+    if candidates.size < n * (n - 1) // 2:
+        d1, d2 = np.partition(diag, 1)[:2]
+        best = max(best, -(d1 + d2) / 2.0)
+    return best
+
+
 class TestSigmaMin:
     def test_identity_like(self):
         g = build_from_triples(3, [(i, i, 1.0) for i in range(3)])
@@ -132,7 +146,7 @@ class TestSigmaMin:
             for j in range(n)
             if i != j
         )
-        assert sigma_min(g) == pytest.approx(best, rel=1e-12)
+        assert sigma_min(g) == best
 
     @pytest.mark.parametrize("seed", range(6))
     def test_safe_upper_bound_on_sparse_inputs(self, seed):
@@ -147,9 +161,35 @@ class TestSigmaMin:
             if i != j
         )
         bound = sigma_min(g)
-        assert bound >= best - 1e-12
+        assert bound == best
+        assert bound <= two_smallest_diagonals_bound(g)
         lift_similarity(g, bound)
-        lift_similarity(g, best)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        density=st.floats(0.0, 1.0),
+        diagonal=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_dense_maximum(self, seed, n, density, diagonal):
+        rng = np.random.default_rng(seed)
+        g = random_similarity_dense(rng, n, density=density, diagonal=diagonal)
+        dense = g.to_dense()
+        diag = dense.diagonal()
+        terms = dense - (diag[:, None] + diag[None, :]) / 2.0
+        np.fill_diagonal(terms, -np.inf)
+        assert sigma_min(g) == terms.max()
+        assert sigma_min(g) <= two_smallest_diagonals_bound(g)
+
+    def test_unstored_pairs_are_bounded_exactly(self):
+        # The two smallest diagonals, of points 0 and 1, share a stored
+        # pair, so the unstored pair (0, 2) gives the shift.
+        g = build_from_triples(
+            4, [(0, 0, -5.0), (1, 1, -5.0), (0, 1, -4.0), (2, 3, 1.0)]
+        )
+        assert sigma_min(g) == 2.5
+        assert two_smallest_diagonals_bound(g) == 5.0
 
 
 class TestLiftSimilarity:
@@ -217,8 +257,10 @@ class TestLiftSimilarity:
 
 def dense_dominance(g: SparseSymmetricMeasure) -> tuple[float, int, int]:
     """The dense (C3) scan: the worst (g(x, x) + g(y, y)) - 2 g(x, y) over
-    all pairs and its first pair in row-major order."""
+    pairs x != y and its first pair in row-major order; +inf at (0, 0)
+    for one point."""
     dominance = g.diag[:, None] + g.diag[None, :] - 2.0 * g.to_dense()
+    np.fill_diagonal(dominance, np.inf)
     x, y = np.unravel_index(int(dominance.argmin()), dominance.shape)
     return float(dominance.min()), int(x), int(y)
 

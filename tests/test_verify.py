@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ksetsplus.engine import RunConfig, run
 from ksetsplus.errors import EmptySet
+from ksetsplus.experiments import random_sparse_similarity
 from ksetsplus.measure import (
     Partition,
     SparseSymmetricMeasure,
@@ -17,7 +18,13 @@ from ksetsplus.transforms import (
     lift_similarity,
     sigma_min,
 )
-from ksetsplus.verify import is_cluster, pairwise_isolation_check
+from ksetsplus.verify import (
+    STATEMENTS,
+    ClusterReport,
+    _slack_bool,
+    is_cluster,
+    pairwise_isolation_check,
+)
 
 from conftest import (
     nonempty_subsets,
@@ -51,6 +58,61 @@ def dense_isolation_slack(g, partition: Partition) -> np.ndarray:
     slack = 2.0 * dbar - dbar.diagonal()[:, None] - dbar.diagonal()[None, :]
     np.fill_diagonal(slack, 0.0)
     return slack
+
+
+def dense_is_cluster(g, s) -> ClusterReport:
+    """is_cluster summed over dense n x n copies of the measure and of its
+    dual: the oracle for the block sums."""
+    g = g if isinstance(g, SemiCohesionMeasure) else SemiCohesionMeasure(g)
+    n = g.n
+    members = sorted(set(int(p) for p in s))
+    dense = g.underlying.to_dense()
+    diag = g.underlying.diag
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
+    inside = int(mask.sum())
+    outside = n - inside
+
+    self_sum = float(dense[np.ix_(mask, mask)].sum())
+    gamma_scale = float(np.abs(dense).sum())
+    statements: dict[str, bool | None] = dict.fromkeys(STATEMENTS)
+    slacks: dict[str, float | None] = dict.fromkeys(STATEMENTS)
+    statements["i"] = _slack_bool(self_sum, gamma_scale)
+    slacks["i"] = self_sum
+    if outside == 0:
+        return ClusterReport(inside, 0, statements, slacks, partial=True)
+
+    comp = ~mask
+    comp_sum = float(dense[np.ix_(comp, comp)].sum())
+    cross_sum = float(dense[np.ix_(mask, comp)].sum())
+    statements["ii"] = _slack_bool(comp_sum, gamma_scale)
+    slacks["ii"] = comp_sum
+    statements["iii"] = _slack_bool(-cross_sum, gamma_scale)
+    slacks["iii"] = -cross_sum
+    statements["iv"] = _slack_bool(self_sum - cross_sum, gamma_scale)
+    slacks["iv"] = self_sum - cross_sum
+
+    dist = (diag[:, None] + diag[None, :]) / 2.0 - dense
+    d_scale = float(np.abs(dist).max())
+    dbar_ss = float(dist[np.ix_(mask, mask)].mean())
+    dbar_cc = float(dist[np.ix_(comp, comp)].mean())
+    dbar_sc = float(dist[np.ix_(mask, comp)].mean())
+    dbar_so = float(dist[mask, :].mean())
+    dbar_oo = float(dist.mean())
+    slack_v = 2.0 * dbar_so - dbar_oo - dbar_ss
+    slack_vi = 2.0 * dbar_sc - dbar_ss - dbar_cc
+    statements["v"] = _slack_bool(slack_v, d_scale)
+    slacks["v"] = slack_v
+    statements["vi"] = _slack_bool(slack_vi, d_scale)
+    slacks["vi"] = slack_vi
+    return ClusterReport(inside, outside, statements, slacks, partial=False)
+
+
+def sparse_laplacian(rng, n: int, density: float) -> SparseSymmetricMeasure:
+    """A cohesion with sparse stored entries: the Laplacian of random
+    nonnegative weights, whose rows sum to zero and which meets (C3)."""
+    w = sparse_semimetric(rng, n, density).to_dense()
+    return from_dense(np.diag(w.sum(axis=1)) - w, kind="cohesion")
 
 
 class TestIsCluster:
@@ -111,6 +173,79 @@ class TestIsCluster:
             assert is_cluster(lifted, subset).all_agree()
 
 
+class TestIsClusterMatchesDenseOracle:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        family=st.sampled_from(["laplacian", "induced", "lift"]),
+        density=st.floats(0.0, 1.0),
+        subset=st.sampled_from(["random", "whole", "singleton"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reports_agree(self, seed, n, family, density, subset):
+        rng = np.random.default_rng(seed)
+        if family == "laplacian":
+            g = sparse_laplacian(rng, n, density)
+        elif family == "induced":
+            g = induced_cohesion(sparse_semimetric(rng, n, density))
+        else:
+            n = max(n, 2)
+            similarity = random_similarity_dense(
+                rng, n, density=density, diagonal=bool(rng.integers(2))
+            )
+            g = lift_similarity(similarity, sigma_min(similarity) + rng.uniform(0, 1))
+        if subset == "whole":
+            members = list(range(n))
+        elif subset == "singleton":
+            members = [int(rng.integers(n))]
+        else:
+            members = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+        report = is_cluster(g, members)
+        oracle = dense_is_cluster(g, members)
+        assert report.partial == oracle.partial
+        assert (report.subset_size, report.complement_size) == (
+            oracle.subset_size,
+            oracle.complement_size,
+        )
+        assert report.statements == oracle.statements
+        # Slacks agree to 1e-12 of max(1, the oracle's scale): the sum of
+        # |g| for (i)-(iv), the largest |dual distance| for (v)-(vi).
+        cohesion = g.underlying if isinstance(g, SemiCohesionMeasure) else g
+        dense = cohesion.to_dense()
+        dist = (cohesion.diag[:, None] + cohesion.diag[None, :]) / 2.0 - dense
+        for key in STATEMENTS:
+            got, want = report.slacks[key], oracle.slacks[key]
+            if want is None:
+                assert got is None, key
+                continue
+            if key in ("v", "vi"):
+                scale = np.abs(dist).max()
+            else:
+                scale = np.abs(dense).sum()
+            assert abs(got - want) <= 1e-12 * max(1.0, scale), key
+
+
+def test_checks_build_no_dense_copy(monkeypatch):
+    rng = np.random.default_rng(31)
+    n = 12
+    distance = sparse_semimetric(rng, n, density=0.4)
+    induced = induced_cohesion(distance)
+    similarity = random_similarity_dense(rng, n, density=0.4)
+    lifted = lift_similarity(similarity, sigma_min(similarity) + 0.5)
+    laplacian = sparse_laplacian(rng, n, density=0.3)
+    part = random_partition(rng, n, 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense copy in a check")
+
+    monkeypatch.setattr(SparseSymmetricMeasure, "to_dense", forbidden)
+    for g in (induced, induced.underlying, lifted, lifted.underlying, laplacian):
+        for members in ([0], [1, 4, 7], list(range(n))):
+            is_cluster(g, members)
+    for g in (distance, similarity, induced, induced.underlying, lifted, laplacian):
+        pairwise_isolation_check(g, part)
+
+
 class TestPairwiseIsolation:
     @pytest.mark.parametrize("seed", range(6))
     def test_converged_runs_pass(self, seed):
@@ -121,6 +256,21 @@ class TestPairwiseIsolation:
         result = run(g.underlying, RunConfig(k=k, seed=seed, restarts=2))
         report = pairwise_isolation_check(g, result.partition)
         assert report.ok(1e-9), report.min_slack
+
+    @pytest.mark.parametrize("diagonal_fraction", [0.0, 0.3])
+    def test_converged_runs_on_similarities_pass(self, diagonal_fraction):
+        # Checked at the exact sigma_min, the smallest valid lift.
+        for seed in range(100):
+            rng = np.random.default_rng(2100 + seed)
+            n = int(rng.integers(10, 200))
+            k = int(rng.integers(2, 7))
+            g = random_sparse_similarity(
+                n, float(rng.uniform(1, 12)), seed, diagonal_fraction=diagonal_fraction
+            )
+            result = run(g, RunConfig(k=k, seed=seed, restarts=2))
+            assert result.converged, seed
+            report = pairwise_isolation_check(g, result.partition)
+            assert report.ok(), (seed, report.min_slack)
 
     def test_two_far_groups_have_positive_slack(self):
         dense = np.full((6, 6), 10.0)
