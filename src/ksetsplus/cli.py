@@ -221,11 +221,15 @@ def _parse_grid(spec: str) -> list[float]:
     """Either a comma list `0.1,0.2` or a range `start:stop:step` (inclusive)."""
     if ":" in spec:
         start, stop, step = (float(s) for s in spec.split(":"))
+        if not (np.isfinite([start, stop]).all() and 0.0 < step < np.inf):
+            raise ValueError(f"grid {spec!r} needs finite bounds and a positive step")
         out = []
         value = start
         while value <= stop + 1e-12:
             out.append(round(value, 10))
             value += step
+        if not out:
+            raise ValueError(f"grid {spec!r} is empty: start is above stop")
         return out
     return [float(s) for s in spec.split(",")]
 

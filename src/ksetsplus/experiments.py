@@ -24,11 +24,13 @@ from .errors import (
     ArityMismatch,
     CoordinateOutOfRange,
     InvalidProbability,
+    KOutOfRange,
 )
 from .measure import (
     Partition,
     SparseSymmetricMeasure,
     _from_dense_unchecked,
+    _from_keys,
     build_from_triples,
 )
 
@@ -180,10 +182,8 @@ def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
     keys, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=vals, minlength=len(keys))
     keep = sums != 0.0
-    keys = keys[keep]
     # np.unique sorts the keys, row * n + col, so they are in CSR order.
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return SparseSymmetricMeasure(n, "similarity", indptr, keys % n, sums[keep])
+    return _from_keys(n, "similarity", keys[keep], sums[keep])
 
 
 def edge_accuracy(
@@ -257,6 +257,8 @@ def accuracy_sweep(
     Cell seeds derive from (seed, cell, graph) so runs are reproducible
     and independent of evaluation order.
     """
+    if graphs_per_point < 1:
+        raise KOutOfRange(f"graphs_per_point={graphs_per_point} must be >= 1")
     rows = []
     for ci, c in enumerate(c_list):
         for pi, p in enumerate(p_grid):

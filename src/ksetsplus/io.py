@@ -237,15 +237,20 @@ def read_partition_tsv(path) -> tuple[list[str], list[int]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            if not stripped:
                 continue
             parts = stripped.split("\t") if "\t" in stripped else stripped.split()
             if len(parts) != 2:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'label<TAB>cluster', got {stripped!r}"
                 )
+            try:
+                assign.append(int(parts[1]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: cluster id {parts[1]!r} is not an integer"
+                ) from None
             labels.append(parts[0])
-            assign.append(int(parts[1]))
     if not assign:
         raise ValueError(f"{path}: empty partition")
     return labels, assign

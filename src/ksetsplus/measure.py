@@ -48,6 +48,11 @@ class DataSet:
                 )
             if len(set(self.labels)) != self.n:
                 raise ArityMismatch("labels must be unique")
+            # Each label must read back as one field of a partition TSV line.
+            for label in self.labels:
+                breaks = any(c in label for c in "\t\r\n")
+                if breaks or not label or label != label.strip():
+                    raise ArityMismatch(f"label {label!r} cannot be one TSV field")
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
@@ -82,7 +87,7 @@ class SparseSymmetricMeasure:
             raise ValueError(f"unknown measure kind {kind!r}")
         self.n = n
         self.kind = kind
-        # Contiguous arrays: a strided view (np.nonzero's column output, say)
+        # Contiguous arrays: a strided view (one column of a 2-D array, say)
         # would pin its whole base array, and the compiled pass reads raw
         # pointers.
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -284,10 +289,9 @@ def _build_from_triples_reference(
     rows = np.concatenate([lo, hi[off]])
     cols = np.concatenate([hi, lo[off]])
     vals = np.concatenate([v, v[off]])
-    order = np.argsort(rows * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseSymmetricMeasure(n, kind, indptr, cols[order], vals[order])
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    return _from_keys(n, kind, keys[order], vals[order])
 
 
 def from_dense(matrix, kind: str = "similarity") -> SparseSymmetricMeasure:
@@ -313,12 +317,14 @@ def _square(matrix) -> np.ndarray:
 
 def _from_dense_unchecked(a: np.ndarray, kind: str) -> SparseSymmetricMeasure:
     """CSR measure of a square matrix's nonzeros, read in row-major order."""
-    stored = a != 0.0
-    indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    return SparseSymmetricMeasure(
-        a.shape[0], kind, indptr, np.nonzero(stored)[1], a[stored]
-    )
+    keys = np.flatnonzero(a)
+    return _from_keys(a.shape[0], kind, keys, a.take(keys))
+
+
+def _from_keys(n: int, kind: str, keys: np.ndarray, values) -> SparseSymmetricMeasure:
+    """CSR measure of entries given as sorted, distinct keys row * n + column."""
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return SparseSymmetricMeasure(n, kind, indptr, keys % n, values)
 
 
 def symmetrize(raw, kind: str = "similarity") -> SparseSymmetricMeasure:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ksetsplus import cli, io, transforms
+from ksetsplus import cli, experiments, io, transforms
 from ksetsplus.cli import main
 from ksetsplus.experiments import random_sparse_similarity
 from ksetsplus.measure import SparseSymmetricMeasure
@@ -147,6 +147,36 @@ class TestClusterCommand:
         assert lines[0].startswith("Adelaide\t")
 
 
+def cluster_then_verify(tmp_path, text):
+    """Exit codes of cluster and then verify on one dense CSV with a header."""
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(text)
+    part = tmp_path / "part.tsv"
+    load = ["--input", str(matrix), "--format", "dense", "--header"]
+    code = main(["cluster", *load, "--k", "2", "--output", str(part)])
+    if code != 0:
+        assert not part.exists()
+        return code, None
+    return code, main(["verify", *load, "--partition", str(part)])
+
+
+class TestLabelRoundTrip:
+    def test_hash_label_verifies(self, tmp_path):
+        text = '"#2",b,c\n0,1,5\n1,0,5\n5,5,0\n'
+        assert cluster_then_verify(tmp_path, text) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "header", ['"a\tb",b,c', "a,,c"], ids=["tab", "empty"]
+    )
+    def test_unwritable_label_is_exit_2_at_load(
+        self, tmp_path, monkeypatch, capsys, header
+    ):
+        monkeypatch.setattr(cli, "run", forbidden)
+        text = header + "\n0,1,5\n1,0,5\n5,5,0\n"
+        assert cluster_then_verify(tmp_path, text) == (2, None)
+        assert "cannot be one TSV field" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_engine_output_verifies(self, tmp_path, edges3):
         out = tmp_path / "part.tsv"
@@ -203,6 +233,12 @@ class TestVerifyCommand:
         assert outputs[0][0] == 0
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+    def test_non_integer_cluster_id_names_the_line(self, tmp_path, edges3, capsys):
+        part = tmp_path / "part.tsv"
+        part.write_text("0\t0\n1\tx\n2\t1\n")
+        assert main(["verify", "--input", edges3, "--partition", str(part)]) == 2
+        assert f"error: {part}:2: cluster id 'x'" in capsys.readouterr().err
 
     def test_unknown_labels_are_exit_2(self, tmp_path, edges3, capsys):
         part = tmp_path / "part.tsv"
@@ -296,6 +332,27 @@ class TestOtherCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "c\tp\tmean_accuracy\tci95_halfwidth\tgraphs"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["0.1:0.2:0", "0.1:0.2:-0.05", "0.2:0.1:0.05", "0:inf:0.1", "0:0.2:nan"],
+        ids=["zero_step", "negative_step", "empty", "infinite_stop", "nan_step"],
+    )
+    def test_malformed_grid_is_exit_2_before_generating(
+        self, monkeypatch, capsys, spec
+    ):
+        monkeypatch.setattr(experiments, "sbm_generate", forbidden)
+        assert main(["sweep", "--n", "120", "--p-grid", spec]) == 2
+        captured = capsys.readouterr()
+        assert f"error: grid {spec!r}" in captured.err
+        assert captured.out == ""
+
+    def test_zero_graphs_is_exit_3_before_generating(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "sbm_generate", forbidden)
+        assert main(["sweep", "--n", "120", "--p-grid", "0.1", "--graphs", "0"]) == 3
+        captured = capsys.readouterr()
+        assert "graphs_per_point=0 must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_geo_smoke(self, tmp_path):
         pts = tmp_path / "pts.csv"

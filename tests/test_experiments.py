@@ -10,6 +10,7 @@ from ksetsplus.errors import (
     ArityMismatch,
     CoordinateOutOfRange,
     InvalidProbability,
+    KOutOfRange,
 )
 from ksetsplus.experiments import (
     EARTH_RADIUS_KM,
@@ -143,6 +144,28 @@ class TestSimilarityFromSigned:
         )
         assert g.value(0, 1) == 0.0
 
+    # sha256 prefixes of indptr, indices, data and diag as the build ended
+    # in its own searchsorted over the keys, before measure._from_keys.
+    PINS = {
+        (0, 200, 8.0, 0.1): "fe9c50d9d87d1e09",
+        (0, 60, 20.0, 0.3): "b0ae3df851ded241",
+        (1, 200, 8.0, 0.1): "87375812fd8e723d",
+        (1, 60, 20.0, 0.3): "78cfbbc44f012560",
+        (2, 200, 8.0, 0.1): "d7823f0d55b0f65a",  # one node isolated
+        (2, 60, 20.0, 0.3): "72dfe1ec155bf02d",
+        (3, 200, 8.0, 0.1): "ee361212d34d1e7c",
+        (3, 60, 20.0, 0.3): "090f7020e423c73b",
+    }
+
+    def test_csr_bytes_are_pinned(self):
+        for (seed, n, c, p), pin in self.PINS.items():
+            graph = sbm_generate(SbmParams(n, c, diff=5.0, p=p, seed=seed))
+            g = similarity_from_signed(graph)
+            digest = hashlib.sha256()
+            for array in (g.indptr, g.indices, g.data, g.diag):
+                digest.update(array.tobytes())
+            assert digest.hexdigest()[:16] == pin, (seed, n)
+
 
 class TestEdgeAccuracy:
     def test_ground_truth_partition_is_perfect(self):
@@ -224,6 +247,10 @@ class TestAccuracySweep:
             r.mean_accuracy for r in rows_b
         ]
         assert all(r.graphs == 3 for r in rows_a)
+
+    def test_no_graphs_per_point_rejected(self):
+        with pytest.raises(KOutOfRange):
+            accuracy_sweep(n=120, c_list=[8.0], p_grid=[0.1], graphs_per_point=0, seed=5)
 
     def test_noiseless_small_instance_is_nearly_perfect(self):
         rows = accuracy_sweep(

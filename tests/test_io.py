@@ -687,6 +687,12 @@ class TestGeoCsv:
         points, dataset = load_geo_csv(path)
         assert dataset.n == 2
 
+    def test_label_with_a_line_break_rejected(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text('"a\nb",1.0,2.0\nc,3.0,4.0\n')
+        with pytest.raises(ArityMismatch, match="cannot be one TSV field"):
+            load_geo_csv(path)
+
 
 class TestPartitionTsv:
     def test_round_trip(self, tmp_path):
@@ -695,6 +701,18 @@ class TestPartitionTsv:
         labels, assign = read_partition_tsv(path)
         assert labels == ["a", "b", "c"]
         assert assign == [0, 1, 1]
+
+    def test_only_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "part.tsv"
+        write_partition_tsv(path, DataSet(3, ("#a", "b", "# c")), [0, 1, 1])
+        path.write_text(path.read_text().replace("\n", "\n \n"))
+        assert read_partition_tsv(path) == (["#a", "b", "# c"], [0, 1, 1])
+
+    def test_non_integer_cluster_id_names_the_line(self, tmp_path):
+        path = tmp_path / "part.tsv"
+        path.write_text("a\t0\n\nb\t1.5\n")
+        with pytest.raises(ValueError, match=r"part\.tsv:3: cluster id '1\.5'"):
+            read_partition_tsv(path)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "part.tsv"

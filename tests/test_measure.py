@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksetsplus import _kernel
+from ksetsplus import _kernel, measure
 from ksetsplus.errors import (
     ArityMismatch,
     AsymmetricDuplicate,
@@ -25,6 +25,7 @@ from ksetsplus.experiments import (
     similarity_from_signed,
 )
 from ksetsplus.measure import (
+    KINDS,
     DataSet,
     Partition,
     SparseSymmetricMeasure,
@@ -133,6 +134,71 @@ class TestFromDense:
         rng = np.random.default_rng(3)
         g = random_similarity_dense(rng, 7, density=0.6)
         assert np.array_equal(from_dense(g.to_dense()).to_dense(), g.to_dense())
+
+
+def dense_unchecked_by_rows(a, kind):
+    """The per-row count and 2-D np.nonzero build that _from_dense_unchecked
+    replaced: the oracle for its CSR bytes and its errors."""
+    stored = a != 0.0
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return SparseSymmetricMeasure(
+        a.shape[0], kind, indptr, np.nonzero(stored)[1], a[stored]
+    )
+
+
+SPECIAL_VALUES = (0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308)
+
+
+@st.composite
+def dense_matrices(draw):
+    """Square float64 matrices, symmetric or not, in C order, Fortran order
+    or as a transposed view, with zeros of both signs and a few of NaN,
+    the infinities and values whose mean overflows."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.sampled_from([-2.0, 0.0]))  # 0.0: a valid distance is likely
+    a = rng.uniform(low, 2.0, size=(n, n))
+    a[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
+    if draw(st.booleans()):
+        np.fill_diagonal(a, 0.0)
+    for value in draw(st.lists(st.sampled_from(SPECIAL_VALUES), max_size=3)):
+        a[rng.random((n, n)) < draw(st.sampled_from([0.02, 0.3]))] = value
+    if draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+    layout = draw(st.sampled_from(["C", "F", "T"]))
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "T":
+        a = a.T
+    return a, draw(st.sampled_from(KINDS))
+
+
+def dense_outcome(build, a, kind):
+    """CSR bytes and kind of build(a, kind), or its error's type and message."""
+    try:
+        g = build(a, kind)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [getattr(g, name).tobytes() for name in CSR] + [g.kind]
+
+
+class TestDenseBuildOracle:
+    @given(dense_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_count_build(self, case):
+        a, kind = case
+        expected = dense_outcome(dense_unchecked_by_rows, a, kind)
+        assert dense_outcome(measure._from_dense_unchecked, a, kind) == expected
+
+    @given(dense_matrices(), st.sampled_from([from_dense, symmetrize]))
+    @settings(max_examples=300, deadline=None)
+    def test_public_builders_match_row_count_build(self, case, build):
+        a, kind = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measure, "_from_dense_unchecked", dense_unchecked_by_rows)
+            expected = dense_outcome(build, a, kind)
+        assert dense_outcome(build, a, kind) == expected
 
 
 class TestMeasureOfSets:
@@ -322,6 +388,24 @@ oracle_triples = st.integers(1, 8).flatmap(
 )
 
 
+def check_against_naive_build(n, triples):
+    try:
+        expected = naive_build(n, triples)
+    except (IndexOutOfRange, DuplicateEntry, AsymmetricDuplicate) as exc:
+        with pytest.raises(type(exc)):
+            build_from_triples(n, triples)
+        return
+    g = build_from_triples(n, triples)
+    assert g.m == len(expected)
+    for i in range(n):
+        assert g.diag[i] == expected.get((i, i), 0.0)
+        row = g.indices[g.indptr[i] : g.indptr[i + 1]]
+        assert np.all(np.diff(row) > 0)
+        for j in range(n):
+            assert g.value(i, j) == expected.get((i, j), 0.0)
+    assert np.all(g.data != 0.0)
+
+
 class TestBuilderProperty:
     @needs_cc
     @given(st.one_of(triple_lists, oracle_triples))
@@ -334,22 +418,14 @@ class TestBuilderProperty:
     @given(triple_lists)
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_builder(self, case):
-        n, triples = case
-        try:
-            expected = naive_build(n, triples)
-        except (IndexOutOfRange, DuplicateEntry, AsymmetricDuplicate) as exc:
-            with pytest.raises(type(exc)):
-                build_from_triples(n, triples)
-            return
-        g = build_from_triples(n, triples)
-        assert g.m == len(expected)
-        for i in range(n):
-            assert g.diag[i] == expected.get((i, i), 0.0)
-            row = g.indices[g.indptr[i] : g.indptr[i + 1]]
-            assert np.all(np.diff(row) > 0)
-            for j in range(n):
-                assert g.value(i, j) == expected.get((i, j), 0.0)
-        assert np.all(g.data != 0.0)
+        check_against_naive_build(*case)
+
+    @given(triple_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_reference_matches_naive_builder(self, case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "load", lambda: None)
+            check_against_naive_build(*case)
 
     @given(triple_lists)
     @settings(max_examples=100, deadline=None)
@@ -600,6 +676,14 @@ class TestDataSet:
     def test_labels_unique(self):
         with pytest.raises(ArityMismatch):
             DataSet(2, labels=("a", "a"))
+
+    @pytest.mark.parametrize(
+        "bad", ["", " a", "a\n", "a\tb", "a\rb", "a\nb"],
+        ids=["empty", "leading_space", "trailing_lf", "tab", "cr", "lf"],
+    )
+    def test_labels_must_be_one_tsv_field(self, bad):
+        with pytest.raises(ArityMismatch, match="cannot be one TSV field"):
+            DataSet(2, labels=("a b", bad))
 
     def test_default_labels_are_indices(self):
         d = DataSet(3)
