@@ -54,7 +54,7 @@ _ROUTINES = {
         ctypes.c_int64,
         [ctypes.c_int64, ctypes.c_int64, *_CSR, _F64]  # n, k, CSR, diag
         + [_I64_OUT, _I64_OUT, _F64_OUT, _F64_OUT]  # assign, sizes, gbar, rows
-        + [_F64_OUT, _I64_OUT, ctypes.c_void_p],  # objective, ops, trace or NULL
+        + [_F64_OUT, _I64_OUT],  # objective, ops
     ),
     "ksets_scatter": (
         None,

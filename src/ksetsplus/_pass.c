@@ -20,14 +20,14 @@
 #endif
 const char ksets_pass_key[] = "ksetsplus-pass-key:" KSETS_PASS_KEY;
 
-/* One pass. rows is the n-by-k point-to-set table, ops receives the pass's
- * (ops_delta, ops_update) and trace, when not NULL, receives (x, src, dst)
- * per move (room for 3n). */
+/* One pass; returns its move count. rows is the n-by-k point-to-set table,
+ * and ops receives the pass's (ops_delta, ops_update). A pass moves only the
+ * point it visits, at most once, so a caller that wants the moves reads them
+ * from the entries of assign that the pass changed. */
 int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
                    const int64_t *indices, const double *data,
                    const double *diag, int64_t *assign, int64_t *sizes,
-                   double *gbar, double *rows, double *objective,
-                   int64_t *ops, int64_t *trace)
+                   double *gbar, double *rows, double *objective, int64_t *ops)
 {
     int64_t moves = 0;
     for (int64_t x = 0; x < n; x++) {
@@ -67,11 +67,6 @@ int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
         *objective += ((double)(sa - 1) * gbar[src]
                        + (double)(sb + 1) * gbar[dst]) - old;
         ops[1] += 2 * (hi - lo) + 6;
-        if (trace) {
-            trace[3 * moves] = x;
-            trace[3 * moves + 1] = src;
-            trace[3 * moves + 2] = dst;
-        }
         moves++;
     }
     return moves;

@@ -17,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .engine import (
-    RunConfig,
-    init_state,
-    random_balanced_partition,
-    run,
-    run_pass,
-)
+from .engine import RunConfig, _converge, init_state, random_balanced_partition, run
 from .errors import (
     ArityMismatch,
     InvalidProbability,
@@ -64,6 +58,12 @@ def _load_measure(args):
     )
 
 
+def _run_config(args) -> RunConfig:
+    return RunConfig(
+        k=args.k, seed=args.seed, restarts=args.restarts, max_passes=args.max_passes
+    )
+
+
 def _write_cluster_output(args, dataset: DataSet, result, extra=None):
     partition = result.partition.relabel_by_first_occurrence()
     # Python ints format faster than numpy scalars.
@@ -87,10 +87,7 @@ def _write_cluster_output(args, dataset: DataSet, result, extra=None):
 
 def cmd_cluster(args) -> int:
     measure, dataset = _load_measure(args)
-    config = RunConfig(
-        k=args.k, seed=args.seed, restarts=args.restarts, max_passes=args.max_passes
-    )
-    result = run(measure, config)
+    result = run(measure, _run_config(args))
     _write_cluster_output(args, dataset, result, extra={"m": measure.m})
     print(
         f"clustered {dataset.n} points into {args.k} sets: "
@@ -136,11 +133,7 @@ def cmd_bench(args) -> int:
         g = random_sparse_similarity(n, args.avg_degree, seed=args.seed)
         state = init_state(g, random_balanced_partition(n, args.k, args.seed))
         start = time.perf_counter()
-        passes = 0
-        for _ in range(args.max_passes):
-            passes += 1
-            if run_pass(state) == 0:
-                break
+        passes = len(_converge(state, args.max_passes)[1])
         elapsed = time.perf_counter() - start
         unit = args.k * n + g.m
         per_pass = elapsed / passes
@@ -156,15 +149,7 @@ def cmd_sbm(args) -> int:
     if args.out_graph:
         io.write_signed_edges(args.out_graph, graph)
     similarity = similarity_from_signed(graph)
-    result = run(
-        similarity,
-        RunConfig(
-            k=args.k,
-            seed=args.seed,
-            restarts=args.restarts,
-            max_passes=args.max_passes,
-        ),
-    )
+    result = run(similarity, _run_config(args))
     accuracy = edge_accuracy(graph, result.partition, reference=args.reference)
     print(
         json.dumps(
@@ -205,10 +190,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_geo(args) -> int:
     points, dataset = io.load_geo_csv(args.points)
-    config = RunConfig(
-        k=args.k, seed=args.seed, restarts=args.restarts, max_passes=args.max_passes
-    )
-    result = run(haversine_matrix(points), config)
+    result = run(haversine_matrix(points), _run_config(args))
     _write_cluster_output(args, dataset, result)
     print(
         f"clustered {dataset.n} locations into {args.k} sets: "

@@ -90,7 +90,6 @@ class EngineState:
         "objective",
         "ops_delta",
         "ops_update",
-        "trace",
         "point_to_set",
     )
 
@@ -110,7 +109,6 @@ class EngineState:
         self.objective = sum(sizes[c] * gbar[c] for c in range(k))
         self.ops_delta = 0
         self.ops_update = 0
-        self.trace: list[tuple[int, int, int]] | None = None
 
     @property
     def partition(self) -> Partition:
@@ -212,8 +210,6 @@ def _apply_move(state: EngineState, assign, sizes, gbar, x: int, src: int, dst: 
         (sa - 1) * gbar[src] + (sb + 1) * gbar[dst] - old_contribution
     )
     state.ops_update += 2 * int(hi - lo) + 6
-    if state.trace is not None:
-        state.trace.append((x, src, dst))
 
 
 def reassign_point(state: EngineState, x: int, to: int) -> EngineState:
@@ -253,17 +249,13 @@ def run_pass(state: EngineState) -> int:
     g = state.measure
     objective = np.array([state.objective])
     ops = np.zeros(2, dtype=np.int64)
-    trace = None if state.trace is None else np.empty(3 * g.n, dtype=np.int64)
     moves = library.ksets_pass(
         g.n, state.k, g.indptr, g.indices, g.data, g.diag,
-        state.assign, state.sizes, state.gbar, state.point_to_set,
-        objective, ops, None if trace is None else trace.ctypes.data,
+        state.assign, state.sizes, state.gbar, state.point_to_set, objective, ops,
     )
     state.objective = float(objective[0])
     state.ops_delta += int(ops[0])
     state.ops_update += int(ops[1])
-    if trace is not None:
-        state.trace.extend(map(tuple, trace[: 3 * moves].reshape(-1, 3).tolist()))
     return moves
 
 
@@ -334,10 +326,8 @@ def _converge(state: EngineState, max_passes: int):
     best_objective = state.objective
     best_assign = state.assign.copy()
     converged = False
-    passes = 0
     for _ in range(max_passes):
         moved = run_pass(state)
-        passes += 1
         history.append(state.objective)
         if state.objective > best_objective:
             best_objective = state.objective
@@ -345,7 +335,7 @@ def _converge(state: EngineState, max_passes: int):
         if moved == 0:
             converged = True
             break
-    return best_assign, history, passes, converged
+    return best_assign, history, converged
 
 
 def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
@@ -379,11 +369,11 @@ def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
             g.n, config.k, config.seed + r
         )
         state = init_state(g, start)
-        assign, history, passes, converged = _converge(state, config.max_passes)
+        assign, history, converged = _converge(state, config.max_passes)
         partition = Partition(assign, config.k)
         objective = objective_value(g, partition) + offset
         if best is None or objective > best.objective:
             history = [h + offset for h in history]
-            best = RunResult(partition, objective, passes, history, converged, r)
+            best = RunResult(partition, objective, len(history), history, converged, r)
     assert best is not None
     return best

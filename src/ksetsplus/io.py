@@ -195,25 +195,29 @@ def load_dense_csv(
 
 
 def load_geo_csv(path) -> tuple[list[GeoPoint], DataSet]:
-    """Read `label,lat,lon` rows; a non-numeric first row is a header."""
+    """Read `label,lat,lon` rows; a non-numeric first row is a header.
+
+    An error in a row keeps its type and names the row as path:line.
+    """
     labels: list[str] = []
     points: list[GeoPoint] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        records = (
-            record
-            for record in csv.reader(fh)
-            if record and any(cell.strip() for cell in record)
-        )
+        reader = csv.reader(fh)
+        records = (r for r in reader if any(cell.strip() for cell in r))
         for idx, record in enumerate(records):
-            if len(record) != 3:
-                raise ValueError(f"{path}: expected 'label,lat,lon', got {record!r}")
-            if idx == 0:
+            try:
+                if len(record) != 3:
+                    raise ValueError(f"expected 'label,lat,lon', got {record!r}")
                 try:
-                    float(record[1]), float(record[2])
+                    lat, lon = float(record[1]), float(record[2])
                 except ValueError:
-                    continue
+                    if idx == 0:
+                        continue
+                    raise
+                points.append(GeoPoint(lat, lon))
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
             labels.append(record[0].strip())
-            points.append(GeoPoint(float(record[1]), float(record[2])))
     if not points:
         raise ValueError(f"{path}: no points")
     return points, DataSet(len(points), tuple(labels))

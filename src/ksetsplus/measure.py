@@ -334,8 +334,9 @@ def symmetrize(raw, kind: str = "similarity") -> SparseSymmetricMeasure:
     is how an asymmetric latency matrix is turned into a semi-metric.
     """
     a = _square(raw)
-    # An overflow to inf is reported by the constructor as NonFiniteValue.
-    with np.errstate(over="ignore"):
+    # An overflow to inf, or inf + -inf = nan, is reported by the
+    # constructor as NonFiniteValue.
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = (a + a.T) / 2.0
     return _from_dense_unchecked(mean, kind)
 

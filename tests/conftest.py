@@ -83,6 +83,22 @@ def random_similarity_dense(
     return from_dense(full, kind="similarity")
 
 
+def traced_pass(sweep, state, trace: list) -> int:
+    """Run one sweep and append its moves (x, src, dst) to trace.
+
+    A pass visits each point once, in index order, and moves only the
+    point it visits, so its moves in order are the assign entries it
+    changed. Returns the sweep's move count, checked against them.
+    """
+    before = state.assign.copy()
+    moves = sweep(state)
+    changed = np.flatnonzero(before != state.assign)
+    assert changed.size == moves
+    after = state.assign[changed]
+    trace.extend(zip(changed.tolist(), before[changed].tolist(), after.tolist()))
+    return moves
+
+
 def brute_objective(g: SparseSymmetricMeasure, assign) -> float:
     """Objective via the exact double-sum reference path."""
     k = max(assign) + 1

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from ksetsplus import cli, experiments, io, transforms
-from ksetsplus.cli import main
+from ksetsplus.cli import build_parser, main
 from ksetsplus.experiments import random_sparse_similarity
 from ksetsplus.measure import SparseSymmetricMeasure
 
@@ -132,6 +132,31 @@ class TestClusterCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_opposite_infinities_symmetrize_is_one_error_line(self, tmp_path, capsys):
+        dense = tmp_path / "inf.csv"
+        dense.write_text("0,inf\n-inf,0\n")
+        out = tmp_path / "o.tsv"
+        code = main(
+            ["cluster", "--input", str(dense), "--format", "dense",
+             "--symmetrize", "--k", "2", "--output", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_header_label_count_mismatch_is_exit_2(self, tmp_path, capsys):
+        dense = tmp_path / "m.csv"
+        dense.write_text("a,b,c\n0,1\n1,0\n")
+        out = tmp_path / "o.tsv"
+        code = main(
+            ["cluster", "--input", str(dense), "--format", "dense", "--header",
+             "--k", "2", "--output", str(out)]
+        )
+        assert code == 2
+        assert f"error: {dense}: 3 header labels for 2 rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dense_latency_fixture(self, tmp_path):
         out = tmp_path / "latency.tsv"
         code = main(
@@ -240,6 +265,24 @@ class TestVerifyCommand:
         assert main(["verify", "--input", edges3, "--partition", str(part)]) == 2
         assert f"error: {part}:2: cluster id 'x'" in capsys.readouterr().err
 
+    def test_partition_line_with_three_fields_names_the_line(
+        self, tmp_path, edges3, capsys
+    ):
+        part = tmp_path / "part.tsv"
+        part.write_text("0\t0\n1\t0\t9\n2\t1\n")
+        assert main(["verify", "--input", edges3, "--partition", str(part)]) == 2
+        assert f"error: {part}:2: expected 'label<TAB>cluster'" in capsys.readouterr().err
+
+    def test_one_cluster_passes_with_infinite_slack(self, tmp_path, edges3, capsys):
+        part = tmp_path / "part.tsv"
+        part.write_text("0\t0\n1\t0\n2\t0\n")
+        code = main(
+            ["verify", "--input", edges3, "--kind", "distance",
+             "--partition", str(part)]
+        )
+        assert code == 0
+        assert "min_slack\tinf\n" in capsys.readouterr().out
+
     def test_unknown_labels_are_exit_2(self, tmp_path, edges3, capsys):
         part = tmp_path / "part.tsv"
         part.write_text("x\t0\ny\t0\nz\t1\n")
@@ -333,6 +376,13 @@ class TestOtherCommands:
         assert lines[0] == "c\tp\tmean_accuracy\tci95_halfwidth\tgraphs"
         assert len(lines) == 3
 
+    def test_default_range_grid_includes_its_stop(self):
+        spec = build_parser().parse_args(["sweep"]).p_grid
+        assert spec == "0.01:0.2:0.01"
+        grid = cli._parse_grid(spec)
+        assert len(grid) == 20
+        assert grid[0] == 0.01 and grid[-1] == 0.2
+
     @pytest.mark.parametrize(
         "spec",
         ["0.1:0.2:0", "0.1:0.2:-0.05", "0.2:0.1:0.05", "0:inf:0.1", "0:0.2:nan"],
@@ -375,6 +425,16 @@ class TestOtherCommands:
         assert rows["paris"] == rows["brussels"]
         assert rows["sydney"] == rows["melbourne"]
         assert rows["paris"] != rows["sydney"]
+
+    @pytest.mark.parametrize("row", ["b,x,3", "b,95,3", "b,1"])
+    def test_geo_bad_row_is_exit_2_naming_path_and_line(self, tmp_path, capsys, row):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"label,lat,lon\na,1.0,2.0\n\n{row}\n")
+        out = tmp_path / "geo.tsv"
+        code = main(["geo", "--points", str(pts), "--k", "2", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {pts}:4: ")
+        assert not out.exists()
 
 
 def forbidden(*args, **kwargs):

@@ -30,6 +30,7 @@ from conftest import (
     random_cohesion,
     random_partition,
     random_similarity_dense,
+    traced_pass,
 )
 
 
@@ -273,6 +274,22 @@ class TestRun:
         with pytest.raises(KOutOfRange):
             run(g, RunConfig(k=5, seed=0))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (RunConfig(k=2, restarts=0), "restarts=0 must be >= 1"),
+            (RunConfig(k=2, max_passes=0), "max_passes=0 must be >= 1"),
+            (
+                RunConfig(k=2, init_partition=Partition.from_assign([0, 1, 2, 2], k=3)),
+                "initial partition has the wrong k",
+            ),
+        ],
+        ids=["no_restarts", "no_passes", "init_partition_k"],
+    )
+    def test_invalid_config(self, config, message):
+        with pytest.raises(KOutOfRange, match=message):
+            config.validate(4)
+
     def test_restarts_pick_best_objective(self):
         rng = np.random.default_rng(33)
         g = random_similarity_dense(rng, 16, density=0.6)
@@ -370,15 +387,14 @@ class TestShiftInvariance:
         start = random_partition(rng, n, 3)
         state_raw = init_state(g, start)
         state_lift = init_state(lifted, start)
-        state_raw.trace = []
-        state_lift.trace = []
+        trace_raw, trace_lift = [], []
         for _ in range(100):
-            moved_raw = run_pass(state_raw)
-            moved_lift = run_pass(state_lift)
+            moved_raw = traced_pass(run_pass, state_raw, trace_raw)
+            moved_lift = traced_pass(run_pass, state_lift, trace_lift)
             assert moved_raw == moved_lift
             if moved_raw == 0:
                 break
-        assert state_raw.trace == state_lift.trace
+        assert trace_raw == trace_lift
         assert state_raw.assign.tolist() == state_lift.assign.tolist()
 
 

@@ -16,6 +16,7 @@ from ksetsplus.experiments import (
     EARTH_RADIUS_KM,
     GeoPoint,
     SbmParams,
+    SignedGraph,
     accuracy_sweep,
     edge_accuracy,
     haversine_matrix,
@@ -201,6 +202,12 @@ class TestEdgeAccuracy:
         part = Partition.from_assign([i % 3 for i in range(graph.n)], k=3)
         with pytest.raises(ArityMismatch):
             edge_accuracy(graph, part)
+
+    def test_graph_without_edges_is_perfect(self):
+        none = np.zeros(0, dtype=np.int64)
+        signs = np.zeros(0, dtype=np.int8)
+        graph = SignedGraph(2, none, none, signs, signs, np.array([0, 1], dtype=np.int8))
+        assert edge_accuracy(graph, Partition.from_assign([0, 1], k=2)) == 1.0
 
 
 class TestHaversine:

@@ -14,6 +14,7 @@ from ksetsplus import io as kio
 from ksetsplus.errors import (
     ArityMismatch,
     AsymmetricDuplicate,
+    CoordinateOutOfRange,
     IndexOutOfRange,
     NonSquareInput,
 )
@@ -686,6 +687,23 @@ class TestGeoCsv:
         path.write_text("a,1.0,2.0\nb,3.0,4.0\n")
         points, dataset = load_geo_csv(path)
         assert dataset.n == 2
+
+    @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ("b,x,3", ValueError, "could not convert string to float: 'x'"),
+            ("b,95,3", CoordinateOutOfRange, "latitude 95.0 outside [-90, 90]"),
+            ("b,1", ValueError, "expected 'label,lat,lon', got ['b', '1']"),
+        ],
+        ids=["not_a_number", "latitude_out_of_range", "two_fields"],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, row, error, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"label,lat,lon\na,1.0,2.0\n\n{row}\n")
+        with pytest.raises(error) as info:
+            load_geo_csv(path)
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}:4: {message}"
 
     def test_label_with_a_line_break_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"

@@ -313,6 +313,11 @@ class TestNonFinite:
         with pytest.raises(NonFiniteValue):
             symmetrize([[0.0, 1.7e308], [1.7e308, 0.0]])
 
+    def test_symmetrize_opposite_infinities_raise_without_warning(self):
+        # inf + -inf is nan; pytest turns a numpy RuntimeWarning into an error.
+        with pytest.raises(NonFiniteValue, match="non-finite value nan"):
+            symmetrize([[0.0, np.inf], [-np.inf, 0.0]])
+
 
 def naive_build(n, triples):
     """Dict-based reference builder: {(i, j): value} with mirrors and no zeros.

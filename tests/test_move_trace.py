@@ -1,9 +1,10 @@
 """Pinned move sequences of the pass, compiled and pure-Python.
 
-Each case runs passes to convergence from a seeded random-balanced start
-with the move trace on, and compares a fingerprint of the run with one
-recorded from the list-of-tuples measure that preceded the CSR arrays:
-the sha256 of the move trace (first 16 hex digits), the move count of
+Each case runs passes to convergence from a seeded random-balanced start,
+reads each pass's moves from the assignment it changed (traced_pass), and
+compares a fingerprint of the run with one recorded from the
+list-of-tuples measure that preceded the CSR arrays: the sha256 of the
+move trace (first 16 hex digits), the move count of
 every pass, the op counters, the recomputed and the incremental
 objective (as float.hex), and the sha256 of the final point-to-set
 table. The compiled kernel (behind init_state, run_pass and
@@ -31,6 +32,8 @@ from ksetsplus.experiments import (
 )
 from ksetsplus.io import load_dense_csv
 from ksetsplus.transforms import induced_cohesion
+
+from conftest import traced_pass
 
 FIXTURE = Path(__file__).parent / "data" / "latency_fixture.csv"
 
@@ -118,14 +121,13 @@ def _digest(data: bytes) -> str:
 
 def _fingerprint(g, k, seed, sweep):
     state = init_state(g, random_balanced_partition(g.n, k, seed))
-    state.trace = []
-    moves = []
+    trace, moves = [], []
     for _ in range(100):
-        moves.append(sweep(state))
+        moves.append(traced_pass(sweep, state, trace))
         if not moves[-1]:
             break
     return (
-        _digest(repr(state.trace).encode()),
+        _digest(repr(trace).encode()),
         moves,
         (state.ops_delta, state.ops_update),
         objective_value(g, state.partition).hex(),

@@ -33,6 +33,7 @@ from conftest import (
     random_partition,
     random_semimetric,
     random_similarity_dense,
+    traced_pass,
 )
 
 
@@ -54,9 +55,9 @@ def _measure(rng, n, family, density, diagonal):
 FAMILIES = ["signed", "integer", "cohesion"]
 
 
-def _snapshot(state):
+def _snapshot(state, trace):
     return (
-        state.trace,
+        trace,
         (state.ops_delta, state.ops_update),
         state.objective.hex(),
         state.point_to_set.tobytes(),
@@ -83,14 +84,14 @@ def test_kernel_matches_reference_bit_for_bit(seed, n, k, family, density, diago
     start = random_partition(rng, n, min(k, n))
     compiled = init_state(g, start)
     reference = init_state(g, start)
-    compiled.trace, reference.trace = [], []
+    compiled_trace, reference_trace = [], []
     for _ in range(200):
-        moved = run_pass(compiled)
-        assert moved == _run_pass_reference(reference)
+        moved = traced_pass(run_pass, compiled, compiled_trace)
+        assert moved == traced_pass(_run_pass_reference, reference, reference_trace)
         assert compiled.objective.hex() == reference.objective.hex()
         if not moved:
             break
-    assert _snapshot(compiled) == _snapshot(reference)
+    assert _snapshot(compiled, compiled_trace) == _snapshot(reference, reference_trace)
 
 
 @needs_cc
