@@ -1,14 +1,16 @@
-/* The four compiled routines of ksetsplus: the K-sets+ kernels over a CSR
+/* The five compiled routines of ksetsplus: the K-sets+ kernels over a CSR
  * measure, the twins of ksetsplus.engine._run_pass_reference and
  * _point_to_set_reference; the CSR build ksets_build, the twin of
- * ksetsplus.measure._build_from_triples_reference; and the text reader
- * ksets_read, the twin of ksetsplus.io._read_loadtxt.
+ * ksetsplus.measure._build_from_triples_reference; the signed benchmark's
+ * similarity ksets_two_step, the twin of
+ * ksetsplus.experiments._similarity_from_signed_reference; and the text
+ * reader ksets_read, the twin of ksetsplus.io._read_loadtxt.
  *
  * Every expression keeps the reference's operation order and int-to-double
  * conversions, and the build passes -ffp-contract=off, so moves, tables and
  * sums match the numpy and Python code bit for bit. The callers check that
  * assign covers the measure's n points with set indices in [0, k), and that
- * every triple's indices are integers in [0, n).
+ * every triple's indices and every edge's endpoints are integers in [0, n).
  */
 #include <math.h>
 #include <stdint.h>
@@ -194,6 +196,106 @@ int64_t ksets_build(int64_t n, int64_t count, const double *triples,
     }
     indptr[n] = m;
     return conflict ? -2 : m;
+}
+
+/* The similarity A + 0.5 A^2 of count signed edges (edge_i[e], edge_j[e],
+ * sign[e]) over n points, the twin of
+ * ksetsplus.experiments._similarity_from_signed_reference. A counting sort
+ * over both orientations of every edge (a self loop gives two) builds the
+ * adjacency; then, row by row, every step r -> t adds sign to acc[t] and
+ * every walk r -> t -> u adds 0.5 * sign(r, t) * sign(t, u) to acc[u], in a
+ * dense accumulator whose touched columns mark[] lists once per row
+ * (Gustavson's row-wise product). Exact zeros are dropped. The terms are
+ * multiples of 0.5 from integer signs, so every sum is exact in any order.
+ *
+ * The rows come out with their columns in touch order, into a scratch of
+ * cap entries (the caller's bound on the stored entries). The result is
+ * exactly symmetric, so its counting-sort transpose is itself with every
+ * row's columns increasing: row c receives (r, value) for r = 0 .. n - 1,
+ * and its length is the row's own. Returns m, with indptr (n + 1), indices
+ * and data (room for cap) holding the CSR arrays, or -1 when the scratch
+ * cannot be allocated. */
+int64_t ksets_two_step(int64_t n, int64_t count, const int64_t *edge_i,
+                       const int64_t *edge_j, const double *sign, int64_t cap,
+                       int64_t *indptr, int64_t *indices, double *data)
+{
+    int64_t *start = calloc((size_t)n + 1, sizeof *start);
+    int64_t *adj = malloc(((size_t)(2 * count) + 1) * sizeof *adj);
+    double *adj_sign = malloc(((size_t)(2 * count) + 1) * sizeof *adj_sign);
+    double *acc = calloc((size_t)n, sizeof *acc);
+    int64_t *mark = malloc((size_t)n * sizeof *mark);
+    int64_t *cols = malloc(((size_t)cap + 1) * sizeof *cols);
+    double *vals = malloc(((size_t)cap + 1) * sizeof *vals);
+    int64_t m = -1;
+    if (!start || !adj || !adj_sign || !acc || !mark || !cols || !vals)
+        goto done;
+    indptr[0] = 0;
+    for (int64_t e = 0; e < count; e++) {
+        start[edge_i[e] + 1]++;
+        start[edge_j[e] + 1]++;
+    }
+    for (int64_t r = 0; r < n; r++)
+        start[r + 1] += start[r];
+    /* mark[r] is row r's fill cursor here. */
+    memcpy(mark, start, (size_t)n * sizeof *mark);
+    for (int64_t e = 0; e < count; e++) {
+        int64_t i = edge_i[e], j = edge_j[e];
+        adj[mark[i]] = j;
+        adj_sign[mark[i]++] = sign[e];
+        adj[mark[j]] = i;
+        adj_sign[mark[j]++] = sign[e];
+    }
+    for (int64_t r = 0; r < n; r++)
+        mark[r] = -1;
+    m = 0;
+    for (int64_t r = 0; r < n; r++) {
+        int64_t first = m;
+        for (int64_t p = start[r]; p < start[r + 1]; p++) {
+            int64_t t = adj[p];
+            double half = 0.5 * adj_sign[p];
+            if (mark[t] != r) {
+                mark[t] = r;
+                cols[m++] = t;
+            }
+            acc[t] += adj_sign[p];
+            for (int64_t q = start[t]; q < start[t + 1]; q++) {
+                int64_t u = adj[q];
+                if (mark[u] != r) {
+                    mark[u] = r;
+                    cols[m++] = u;
+                }
+                acc[u] += half * adj_sign[q];
+            }
+        }
+        int64_t end = m;
+        m = first;
+        for (int64_t p = first; p < end; p++) {
+            int64_t u = cols[p];
+            if (acc[u] != 0.0) {
+                cols[m] = u;
+                vals[m++] = acc[u];
+            }
+            acc[u] = 0.0;
+        }
+        indptr[r + 1] = m;
+    }
+    /* mark[c] is row c's fill cursor in the transpose. */
+    memcpy(mark, indptr, (size_t)n * sizeof *mark);
+    for (int64_t r = 0; r < n; r++)
+        for (int64_t p = indptr[r]; p < indptr[r + 1]; p++) {
+            int64_t c = cols[p];
+            indices[mark[c]] = r;
+            data[mark[c]++] = vals[p];
+        }
+done:
+    free(start);
+    free(adj);
+    free(adj_sign);
+    free(acc);
+    free(mark);
+    free(cols);
+    free(vals);
+    return m;
 }
 
 /* 10^0 .. 10^22, each exactly representable as a double. */

@@ -128,6 +128,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # Every parameter is checked before the first graph is drawn.
+    for n in args.n_list:
+        RunConfig(k=args.k, max_passes=args.max_passes).validate(n)
+    if not (np.isfinite(args.avg_degree) and args.avg_degree >= 0.0):
+        raise InvalidProbability(
+            f"avg_degree={args.avg_degree} must be finite and >= 0"
+        )
     print("n\tm\tpasses\twall_time\ttime_per_pass_per_kn_plus_m")
     for n in args.n_list:
         g = random_sparse_similarity(n, args.avg_degree, seed=args.seed)

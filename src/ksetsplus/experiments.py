@@ -23,6 +23,7 @@ from .engine import RunConfig, run
 from .errors import (
     ArityMismatch,
     CoordinateOutOfRange,
+    IndexOutOfRange,
     InvalidProbability,
     KOutOfRange,
 )
@@ -35,6 +36,8 @@ from .measure import (
 )
 
 EARTH_RADIUS_KM = 6371.0088
+# Uniform draws per rng.random call in sbm_generate (512 KiB of float64).
+_DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,27 +115,38 @@ class GeoPoint:
 def sbm_generate(params: SbmParams) -> SignedGraph:
     """Draw a signed two-block graph; isolated nodes are dropped.
 
+    Every candidate pair gets one uniform draw, in a fixed order: the
+    upper triangle of each block row by row, then the half-by-half cross
+    block row by row, then one crossover draw per kept edge. The pair
+    draws are made _DRAW_CHUNK at a time into one reused buffer, so
+    memory is O(chunk + edges) while time stays O(n^2); the stream, and
+    so every returned array, does not depend on the chunk size.
+
     Surviving nodes are renumbered densely, so the returned n can be
     smaller than params.n. Deterministic for a given seed.
     """
     p_in, p_out = params.probabilities()
     half = params.n // 2
     rng = np.random.default_rng(params.seed)
+    buffer = np.empty(min(_DRAW_CHUNK, half * half))
 
+    # Row r of a block's upper triangle starts at triangle position
+    # r (half - 1) - r (r - 1) / 2, in np.triu_indices(half, 1) order.
+    rows = np.arange(half, dtype=np.int64)
+    row_start = rows * (half - 1) - rows * (rows - 1) // 2
     parts_i: list[np.ndarray] = []
     parts_j: list[np.ndarray] = []
     truth_parts: list[np.ndarray] = []
-    iu, ju = np.triu_indices(half, k=1)
     for offset in (0, half):
-        keep = rng.random(len(iu)) < p_in
-        parts_i.append(iu[keep] + offset)
-        parts_j.append(ju[keep] + offset)
-        truth_parts.append(np.ones(int(keep.sum()), dtype=np.int8))
-    cross = rng.random((half, half)) < p_out
-    ci, cj = np.nonzero(cross)
-    parts_i.append(ci)
-    parts_j.append(cj + half)
-    truth_parts.append(-np.ones(len(ci), dtype=np.int8))
+        t = _kept_draws(rng, half * (half - 1) // 2, p_in, buffer)
+        i = np.searchsorted(row_start, t, side="right") - 1
+        parts_i.append(i + offset)
+        parts_j.append(t - row_start[i] + i + 1 + offset)
+        truth_parts.append(np.ones(len(t), dtype=np.int8))
+    t = _kept_draws(rng, half * half, p_out, buffer)
+    parts_i.append(t // half)
+    parts_j.append(t % half + half)
+    truth_parts.append(-np.ones(len(t), dtype=np.int8))
 
     edge_i = np.concatenate(parts_i)
     edge_j = np.concatenate(parts_j)
@@ -157,19 +171,91 @@ def sbm_generate(params: SbmParams) -> SignedGraph:
     )
 
 
+def _kept_draws(rng, count: int, prob: float, buffer: np.ndarray) -> np.ndarray:
+    """Positions t in [0, count) whose uniform draw is below prob, in order.
+
+    The draws are those of one rng.random(count), made len(buffer) at a
+    time: PCG64's random() takes one 64-bit output per double and keeps
+    nothing back, so chunking leaves the stream unchanged.
+    """
+    kept = [np.zeros(0, dtype=np.int64)]
+    for base in range(0, count, len(buffer)):
+        chunk = buffer[: min(len(buffer), count - base)]
+        rng.random(out=chunk)
+        kept.append(np.flatnonzero(chunk < prob) + base)
+    return np.concatenate(kept)
+
+
 def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
     """Similarity A + 0.5 A^2 from the observed signed adjacency.
 
-    The square is taken by expanding every directed edge (i, j) into the
-    two-step terms (i, t) over j's neighbors t, so the cost is sum over
-    nodes of deg(node)^2 rather than n^2. All terms are multiples of 0.5,
-    so the sums are exact in any order. Entries that cancel to exactly
-    zero are dropped; diagonal entries (half the degree) are kept.
+    A[i, j] sums the signs of the edges between i and j (a self loop
+    counts twice), and the square is taken over stored neighbors only:
+    every step i -> t meets each step t -> u, so the cost is the sum over
+    nodes of deg(node)^2 rather than n^2. All terms are multiples of 0.5
+    from integer signs, so the sums are exact in any order. Entries that
+    cancel to exactly zero are dropped; diagonal entries (half the degree
+    plus any self loops) are kept.
+
+    The edges are checked first: parallel arrays of one length, and
+    endpoints in [0, n). The compiled ``ksets_two_step`` (see
+    ``_kernel``) then builds the CSR arrays in one row-wise pass with a
+    dense accumulator; when no kernel can be built,
+    ``_similarity_from_signed_reference`` does.
     """
     n = graph.n
-    src = np.concatenate([graph.edge_i, graph.edge_j]).astype(np.int64)
-    dst = np.concatenate([graph.edge_j, graph.edge_i]).astype(np.int64)
-    sign = np.concatenate([graph.sign, graph.sign]).astype(np.float64)
+    lengths = {len(graph.edge_i), len(graph.edge_j), len(graph.sign)}
+    if len(lengths) != 1:
+        raise ArityMismatch(
+            f"edge arrays differ in length: edge_i {len(graph.edge_i)}, "
+            f"edge_j {len(graph.edge_j)}, sign {len(graph.sign)}"
+        )
+    edge_i = np.ascontiguousarray(graph.edge_i, dtype=np.int64)
+    edge_j = np.ascontiguousarray(graph.edge_j, dtype=np.int64)
+    outside = (edge_i < 0) | (edge_i >= n) | (edge_j < 0) | (edge_j >= n)
+    if outside.any():
+        e = int(np.argmax(outside))
+        raise IndexOutOfRange(
+            f"edge {e} ({edge_i[e]}, {edge_j[e]}) has an endpoint outside [0, {n})"
+        )
+    if n < 1:  # as the constructor would, before the kernel writes indptr[n]
+        raise ArityMismatch("a measure needs at least one point")
+    sign = np.ascontiguousarray(graph.sign, dtype=np.float64)
+    from ._kernel import load
+
+    library = load()
+    if library is None:
+        return _similarity_from_signed_reference(n, edge_i, edge_j, sign)
+    degree = np.bincount(edge_i, minlength=n) + np.bincount(edge_j, minlength=n)
+    # Each step and each two-step walk adds at most one entry, and no row
+    # holds more than n.
+    cap = min(int(degree.sum() + degree @ degree), n * n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(cap, dtype=np.int64)
+    data = np.empty(cap)
+    m = library.ksets_two_step(
+        n, len(edge_i), edge_i, edge_j, sign, cap, indptr, indices, data
+    )
+    if m < 0:
+        raise MemoryError(f"cannot allocate the two-step scratch of {cap} entries")
+    # Copies that own exactly m entries.
+    indices, data = indices[:m].copy(), data[:m].copy()
+    return SparseSymmetricMeasure(n, "similarity", indptr, indices, data)
+
+
+def _similarity_from_signed_reference(
+    n: int, edge_i: np.ndarray, edge_j: np.ndarray, sign: np.ndarray
+) -> SparseSymmetricMeasure:
+    """numpy ``similarity_from_signed`` after its checks, on int64 endpoints
+    and float64 signs: the compiled ``ksets_two_step``'s oracle and
+    fallback.
+
+    The square is taken by expanding every directed edge (i, j) into the
+    two-step terms (i, t) over j's neighbors t, then summing equal keys.
+    """
+    src = np.concatenate([edge_i, edge_j])
+    dst = np.concatenate([edge_j, edge_i])
+    sign = np.concatenate([sign, sign])
     order = np.argsort(src, kind="stable")
     src, dst, sign = src[order], dst[order], sign[order]
     start = np.searchsorted(src, np.arange(n + 1))

@@ -263,12 +263,15 @@ def read_partition_tsv(path) -> tuple[list[str], list[int]]:
 def write_signed_edges(path, graph: SignedGraph):
     """Signed edge list with the ground truth alongside."""
     path = Path(path)
+    # One % over the interleaved columns formats every line in C.
+    flat = [None] * (4 * graph.n_edges)
+    flat[0::4] = graph.edge_i.tolist()
+    flat[1::4] = graph.edge_j.tolist()
+    flat[2::4] = graph.sign.tolist()
+    flat[3::4] = graph.truth_sign.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# i j sign truth_sign\n")
-        for a, b, s, t in zip(
-            graph.edge_i, graph.edge_j, graph.sign, graph.truth_sign
-        ):
-            fh.write(f"{a} {b} {s} {t}\n")
+        fh.write(("%s %s %s %s\n" * graph.n_edges) % tuple(flat))
         fh.write("# block per node: " + " ".join(str(b) for b in graph.block) + "\n")
 
 

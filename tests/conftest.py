@@ -39,6 +39,16 @@ def no_kernel(fresh_loader, monkeypatch):
     assert _kernel.load() is None
 
 
+@pytest.fixture(params=[pytest.param("kernel", marks=needs_cc), "reference"])
+def build_path(request, monkeypatch):
+    """Run every builder through its compiled routine, or its reference."""
+    if request.param == "kernel":
+        assert _kernel.load() is not None
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    return request.param
+
+
 def triangle_violating_semimetric() -> SparseSymmetricMeasure:
     """Three points where the far pair exceeds the sum of the near ones."""
     return build_from_triples(

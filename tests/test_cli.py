@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ksetsplus import cli, experiments, io, transforms
+from ksetsplus import _kernel, cli, experiments, io, transforms
 from ksetsplus.cli import build_parser, main
 from ksetsplus.experiments import random_sparse_similarity
 from ksetsplus.measure import SparseSymmetricMeasure
@@ -344,6 +344,28 @@ class TestOtherCommands:
         assert lines[0].startswith("n\tm\tpasses")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-passes", "0"], "max_passes=0 must be >= 1"),
+            (["--k", "1"], "k=1 outside [2, 400]"),
+            (["--k", "51"], "k=51 outside [2, 50]"),
+            (["--avg-degree", "-3"], "avg_degree=-3.0 must be finite and >= 0"),
+            (["--avg-degree", "nan"], "avg_degree=nan must be finite and >= 0"),
+            (["--avg-degree", "inf"], "avg_degree=inf must be finite and >= 0"),
+        ],
+        ids=["zero_passes", "k_one", "k_above_n", "negative_degree", "nan_degree",
+             "infinite_degree"],
+    )
+    def test_bench_invalid_parameter_is_exit_3_before_drawing(
+        self, monkeypatch, capsys, flags, message
+    ):
+        monkeypatch.setattr(cli, "random_sparse_similarity", forbidden)
+        assert main(["bench", "--n-list", "400,50", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_sbm_smoke(self, tmp_path, capsys):
         out_graph = tmp_path / "graph.txt"
         code = main(
@@ -364,6 +386,19 @@ class TestOtherCommands:
 
     def test_sbm_invalid_probability_is_exit_3(self):
         assert main(["sbm", "--n", "200", "--c", "8", "--p", "0.9"]) == 3
+
+    def test_sbm_out_of_memory_in_the_two_step_build_is_exit_2(
+        self, monkeypatch, capsys
+    ):
+        class Library:
+            def ksets_two_step(self, *args):
+                return -1
+
+        monkeypatch.setattr(_kernel, "load", Library)
+        assert main(["sbm", "--n", "200", "--c", "8", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: cannot allocate")
+        assert captured.out == ""
 
     def test_sweep_to_file(self, tmp_path):
         out = tmp_path / "sweep.tsv"

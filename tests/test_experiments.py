@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ksetsplus import _kernel
+from ksetsplus import _kernel, experiments
 from ksetsplus.engine import RunConfig, run
 from ksetsplus.errors import (
     ArityMismatch,
     CoordinateOutOfRange,
+    IndexOutOfRange,
     InvalidProbability,
     KOutOfRange,
 )
@@ -23,8 +26,66 @@ from ksetsplus.experiments import (
     random_sparse_similarity,
     sbm_generate,
     similarity_from_signed,
+    _similarity_from_signed_reference,
 )
 from ksetsplus.measure import Partition
+
+from conftest import needs_cc
+
+
+def one_shot_sbm_generate(params: SbmParams) -> SignedGraph:
+    """The generator body before it drew in chunks: one rng.random call over
+    np.triu_indices per block and one (half, half) cross matrix."""
+    p_in, p_out = params.probabilities()
+    half = params.n // 2
+    rng = np.random.default_rng(params.seed)
+    parts_i, parts_j, truth_parts = [], [], []
+    iu, ju = np.triu_indices(half, k=1)
+    for offset in (0, half):
+        keep = rng.random(len(iu)) < p_in
+        parts_i.append(iu[keep] + offset)
+        parts_j.append(ju[keep] + offset)
+        truth_parts.append(np.ones(int(keep.sum()), dtype=np.int8))
+    cross = rng.random((half, half)) < p_out
+    ci, cj = np.nonzero(cross)
+    parts_i.append(ci)
+    parts_j.append(cj + half)
+    truth_parts.append(-np.ones(len(ci), dtype=np.int8))
+    edge_i = np.concatenate(parts_i)
+    edge_j = np.concatenate(parts_j)
+    truth = np.concatenate(truth_parts)
+    flips = rng.random(len(edge_i)) < params.p
+    sign = np.where(flips, -truth, truth).astype(np.int8)
+    block = np.repeat(np.arange(2, dtype=np.int8), half)
+    present = np.zeros(params.n, dtype=bool)
+    present[edge_i] = True
+    present[edge_j] = True
+    survivors = np.nonzero(present)[0]
+    renumber = np.full(params.n, -1, dtype=np.int64)
+    renumber[survivors] = np.arange(len(survivors))
+    return SignedGraph(
+        n=len(survivors),
+        edge_i=renumber[edge_i],
+        edge_j=renumber[edge_j],
+        sign=sign,
+        truth_sign=truth,
+        block=block[survivors],
+    )
+
+
+GRAPH_ARRAYS = ("edge_i", "edge_j", "sign", "truth_sign", "block")
+
+
+def signed_graph(n, edge_i, edge_j, sign) -> SignedGraph:
+    sign = np.asarray(sign, dtype=np.int8)
+    return SignedGraph(
+        n=n,
+        edge_i=np.asarray(edge_i, dtype=np.int64),
+        edge_j=np.asarray(edge_j, dtype=np.int64),
+        sign=sign,
+        truth_sign=sign.copy(),
+        block=np.zeros(n, dtype=np.int8),
+    )
 
 
 class TestSbmParams:
@@ -99,22 +160,52 @@ class TestSbmGenerate:
         }
         assert len(pairs) == graph.n_edges
 
+    # sha256 prefixes of edge_i, edge_j, sign, truth_sign and block as the
+    # one-shot generator (one_shot_sbm_generate) drew them.
+    PINS = {
+        (4, 1.0, 4.0, 0.0, 0): "364b1f6e2dfe1f1b",
+        (4, 1.5, 2.0, 0.3, 1): "0b1276d239e1b1e0",  # one node isolated
+        (60, 20.0, 5.0, 0.3, 0): "0cd549f663de2c42",
+        (200, 8.0, 5.0, 0.1, 2): "0f2f7c2eaeeb2a5f",  # one node isolated
+        (200, 1.0, 1.0, 0.0, 7): "f2ef57a57b3abcde",
+        (302, 12.0, 5.0, 0.2, 5): "e2c5874d670d443f",
+        (1000, 6.0, 5.0, 0.5, 3): "aaf201ffd5254a1c",
+        (2000, 10.0, 5.0, 0.1, 1): "ad7947f748ed958d",
+    }
+
+    def test_arrays_are_pinned(self):
+        for (n, c, diff, p, seed), pin in self.PINS.items():
+            graph = sbm_generate(SbmParams(n, c, diff=diff, p=p, seed=seed))
+            digest = hashlib.sha256()
+            for name in GRAPH_ARRAYS:
+                digest.update(getattr(graph, name).tobytes())
+            assert digest.hexdigest()[:16] == pin, (n, seed)
+            assert graph.edge_i.dtype == graph.edge_j.dtype == np.int64
+
+    # 7 divides neither count at n=60; 29 divides the 435 triangle draws,
+    # and 435 is one chunk per block.
+    @pytest.mark.parametrize("chunk", [1, 7, 29, 435])
+    @pytest.mark.parametrize(
+        "n, c, diff, p, seed",
+        [(4, 1.0, 4.0, 0.0, 0), (4, 1.5, 2.0, 0.3, 1), (60, 20.0, 5.0, 0.3, 0),
+         (60, 3.0, 5.0, 0.1, 4)],
+    )
+    def test_any_chunk_size_draws_the_one_shot_graph(
+        self, monkeypatch, chunk, n, c, diff, p, seed
+    ):
+        monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
+        params = SbmParams(n, c, diff=diff, p=p, seed=seed)
+        graph, expected = sbm_generate(params), one_shot_sbm_generate(params)
+        assert graph.n == expected.n
+        for name in GRAPH_ARRAYS:
+            got, want = getattr(graph, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
 
 class TestSimilarityFromSigned:
     def _graph(self, n, edges):
-        ei = np.array([e[0] for e in edges], dtype=int)
-        ej = np.array([e[1] for e in edges], dtype=int)
-        sign = np.array([e[2] for e in edges], dtype=np.int8)
-        from ksetsplus.experiments import SignedGraph
-
-        return SignedGraph(
-            n=n,
-            edge_i=ei,
-            edge_j=ej,
-            sign=sign,
-            truth_sign=sign.copy(),
-            block=np.zeros(n, dtype=np.int8),
-        )
+        table = np.array(edges, dtype=np.int64).reshape(-1, 3)
+        return signed_graph(n, table[:, 0], table[:, 1], table[:, 2])
 
     def test_single_edge(self):
         g = similarity_from_signed(self._graph(2, [(0, 1, 1)]))
@@ -159,6 +250,13 @@ class TestSimilarityFromSigned:
     }
 
     def test_csr_bytes_are_pinned(self):
+        self.check_pins()
+
+    def test_reference_csr_bytes_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        self.check_pins()
+
+    def check_pins(self):
         for (seed, n, c, p), pin in self.PINS.items():
             graph = sbm_generate(SbmParams(n, c, diff=5.0, p=p, seed=seed))
             g = similarity_from_signed(graph)
@@ -166,6 +264,77 @@ class TestSimilarityFromSigned:
             for array in (g.indptr, g.indices, g.data, g.diag):
                 digest.update(array.tobytes())
             assert digest.hexdigest()[:16] == pin, (seed, n)
+            # The arrays own exactly m entries.
+            assert g.indices.base is None and g.data.base is None
+
+    @pytest.mark.parametrize(
+        "edge_i, edge_j, bad",
+        [([0, -1], [1, 2], "edge 1 (-1, 2)"), ([0, 1, 2], [3, 1, 0], "edge 0 (0, 3)")],
+    )
+    def test_endpoint_outside_the_points_is_named(
+        self, build_path, edge_i, edge_j, bad
+    ):
+        graph = signed_graph(3, edge_i, edge_j, [1] * len(edge_i))
+        with pytest.raises(IndexOutOfRange) as info:
+            similarity_from_signed(graph)
+        assert str(info.value) == f"{bad} has an endpoint outside [0, 3)"
+
+    @pytest.mark.parametrize(
+        "edge_i, edge_j, sign",
+        [([0, 1], [1], [1, 1]), ([0], [1], [1, -1]), ([0, 1], [1, 2], [1])],
+    )
+    def test_edge_arrays_of_different_lengths_are_rejected(
+        self, build_path, edge_i, edge_j, sign
+    ):
+        graph = signed_graph(3, edge_i, edge_j, sign)
+        with pytest.raises(ArityMismatch, match="edge arrays differ in length"):
+            similarity_from_signed(graph)
+
+    def test_no_points_is_rejected(self, build_path):
+        with pytest.raises(ArityMismatch, match="at least one point"):
+            similarity_from_signed(signed_graph(0, [], [], []))
+
+    def test_allocation_failure_is_a_memory_error(self, monkeypatch):
+        class Library:
+            def ksets_two_step(self, *args):
+                return -1
+
+        monkeypatch.setattr(_kernel, "load", Library)
+        with pytest.raises(MemoryError, match="two-step scratch"):
+            similarity_from_signed(signed_graph(2, [0], [1], [1]))
+
+    # Small point counts, so repeated edges, self loops and isolated nodes
+    # are common; int8 signs of any value, 0 included.
+    @needs_cc
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, n - 1),
+                        st.integers(0, n - 1),
+                        st.integers(-128, 127),
+                    ),
+                    max_size=40,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_the_reference_bit_for_bit(self, case):
+        n, edges = case
+        graph = self._graph(n, edges)
+        assert _kernel.load() is not None
+        g = similarity_from_signed(graph)
+        expected = _similarity_from_signed_reference(
+            n,
+            graph.edge_i,
+            graph.edge_j,
+            graph.sign.astype(np.float64),
+        )
+        for name in ("indptr", "indices", "data", "diag"):
+            assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
 
 
 class TestEdgeAccuracy:

@@ -25,7 +25,9 @@ from ksetsplus.io import (
     read_partition_tsv,
     write_edge_list,
     write_partition_tsv,
+    write_signed_edges,
 )
+from ksetsplus.experiments import SbmParams, SignedGraph, sbm_generate
 from ksetsplus.measure import DataSet, build_from_triples, from_dense, symmetrize
 
 from conftest import needs_cc
@@ -85,6 +87,17 @@ def old_write_partition_tsv(path, dataset, assign):
     with open(path, "w", encoding="utf-8") as fh:
         for i, cluster in enumerate(assign):
             fh.write(f"{dataset.label(i)}\t{cluster}\n")
+
+
+def old_write_signed_edges(path, graph):
+    """The per-edge signed writer that one % format replaced (oracle)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# i j sign truth_sign\n")
+        for a, b, s, t in zip(
+            graph.edge_i, graph.edge_j, graph.sign, graph.truth_sign
+        ):
+            fh.write(f"{a} {b} {s} {t}\n")
+        fh.write("# block per node: " + " ".join(str(b) for b in graph.block) + "\n")
 
 
 def load_outcome(loader, path, **kwargs):
@@ -773,3 +786,27 @@ class TestPartitionTsv:
             write_partition_tsv(new, dataset, assign)
             old_write_partition_tsv(old, dataset, assign)
             assert new.read_bytes() == old.read_bytes()
+
+
+class TestSignedEdges:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            sbm_generate(SbmParams(n=300, c=8.0, diff=5.0, p=0.3, seed=4)),
+            SignedGraph(
+                2,
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int8),
+                np.zeros(0, dtype=np.int8),
+                np.array([0, 1], dtype=np.int8),
+            ),
+        ],
+        ids=["sbm", "no_edges"],
+    )
+    def test_write_matches_old_loop(self, tmp_path, graph):
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        write_signed_edges(new, graph)
+        old_write_signed_edges(old, graph)
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_text().count("\n") == graph.n_edges + 2

@@ -448,16 +448,6 @@ class TestBuilderProperty:
             assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
 
 
-@pytest.fixture(params=[pytest.param("kernel", marks=needs_cc), "reference"])
-def build_path(request, monkeypatch):
-    """Run build_from_triples through the compiled routine or the reference."""
-    if request.param == "kernel":
-        assert _kernel.load() is not None
-    else:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-    return request.param
-
-
 class TestBuildPaths:
     """Errors, their precedence and edge cases, on both build paths."""
 

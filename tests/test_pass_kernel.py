@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksetsplus import _kernel
+from ksetsplus import _kernel, cli
 from ksetsplus.engine import (
     RunConfig,
     _point_to_set,
@@ -24,6 +24,7 @@ from ksetsplus.engine import (
     run,
     run_pass,
 )
+from ksetsplus.experiments import SbmParams, sbm_generate, similarity_from_signed
 from ksetsplus.measure import Partition, from_dense
 from ksetsplus.verify import pairwise_isolation_check
 
@@ -125,7 +126,7 @@ def test_table_and_sum_kernels_match_references_bit_for_bit(
 
 @needs_cc
 def test_fallback_gives_the_same_run_and_one_warning(
-    fresh_loader, monkeypatch, caplog
+    fresh_loader, monkeypatch, caplog, capsys
 ):
     rng = np.random.default_rng(5)
     g = random_similarity_dense(rng, 40, density=0.3)
@@ -140,12 +141,20 @@ def test_fallback_gives_the_same_run_and_one_warning(
             pairwise_isolation_check(checked, run(clustered, config).partition)
             for checked, clustered in [(g, g), (c, c.underlying), (d, d)]
         ]
+        # The signed benchmark: its A + 0.5 A^2 build, run and report.
+        graph = sbm_generate(SbmParams(n=200, c=8.0, diff=5.0, p=0.1, seed=3))
+        similarity = similarity_from_signed(graph)
+        capsys.readouterr()
+        assert cli.main(["sbm", "--n", "200", "--c", "8", "--seed", "3",
+                         "--restarts", "2"]) == 0
         return (
             result.partition.assign.tolist(),
             result.objective.hex(),
             result.history,
             objective_value(g, result.partition).hex(),
             [(r.slack.tobytes(), r.min_slack.hex(), r.argmin) for r in reports],
+            [a.tobytes() for a in (similarity.indptr, similarity.indices, similarity.data)],
+            capsys.readouterr().out,
         )
 
     expected = outcome()
