@@ -1,7 +1,8 @@
-/* The five compiled routines of ksetsplus: the K-sets+ kernels over a CSR
+/* The six compiled routines of ksetsplus: the K-sets+ kernels over a CSR
  * measure, the twins of ksetsplus.engine._run_pass_reference and
- * _point_to_set_reference; the CSR build ksets_build, the twin of
- * ksetsplus.measure._build_from_triples_reference; the signed benchmark's
+ * _point_to_set_reference; the CSR builds ksets_build, the twin of
+ * ksetsplus.measure._build_from_triples_reference, and ksets_dense, the
+ * twin of ksetsplus.measure._from_dense_reference; the signed benchmark's
  * similarity ksets_two_step, the twin of
  * ksetsplus.experiments._similarity_from_signed_reference; and the text
  * reader ksets_read, the twin of ksetsplus.io._read_loadtxt.
@@ -196,6 +197,36 @@ int64_t ksets_build(int64_t n, int64_t count, const double *triples,
     }
     indptr[n] = m;
     return conflict ? -2 : m;
+}
+
+/* The CSR arrays of the nonzeros of the C-contiguous n-by-n table a, read
+ * row by row: a[i][j], or with mean (a[i][j] + a[j][i]) / 2.0, numpy's
+ * operation order, so an overflow gives inf and inf + -inf gives nan as
+ * (a + a.T) / 2.0 does. Exact zeros of either sign are dropped; NaNs stay
+ * for the measure's constructor to reject. Fills indptr (n + 1) and
+ * returns m, writing row i's columns and values to indices and data only
+ * while they fit in cap entries: a call with cap 0 sizes the arrays, and a
+ * second call with cap m fills them. */
+int64_t ksets_dense(int64_t n, const double *a, int64_t mean, int64_t cap,
+                    int64_t *indptr, int64_t *indices, double *data)
+{
+    int64_t m = 0;
+    indptr[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = a + i * n;
+        for (int64_t j = 0; j < n; j++) {
+            double v = mean ? (row[j] + a[j * n + i]) / 2.0 : row[j];
+            if (v == 0.0)
+                continue;
+            if (m < cap) {
+                indices[m] = j;
+                data[m] = v;
+            }
+            m++;
+        }
+        indptr[i + 1] = m;
+    }
+    return m;
 }
 
 /* The similarity A + 0.5 A^2 of count signed edges (edge_i[e], edge_j[e],

@@ -299,7 +299,10 @@ def from_dense(matrix, kind: str = "similarity") -> SparseSymmetricMeasure:
 
     Zeros are dropped from storage. Raises AsymmetricDuplicate if the
     matrix is not exactly symmetric (use :func:`symmetrize` to average
-    an asymmetric one).
+    an asymmetric one); the measure's own errors, such as NonFiniteValue,
+    come first. The compiled ``ksets_dense`` (see ``_kernel``) reads the
+    matrix in one row-major scan; when no kernel can be built,
+    ``_from_dense_reference`` does.
     """
     a = _square(matrix)
     g = _from_dense_unchecked(a, kind)
@@ -315,8 +318,44 @@ def _square(matrix) -> np.ndarray:
     return a
 
 
-def _from_dense_unchecked(a: np.ndarray, kind: str) -> SparseSymmetricMeasure:
-    """CSR measure of a square matrix's nonzeros, read in row-major order."""
+def _from_dense_unchecked(
+    a: np.ndarray, kind: str, mean: bool = False
+) -> SparseSymmetricMeasure:
+    """CSR measure of a square matrix's nonzeros, read in row-major order,
+    or with mean of those of (a + a.T) / 2.0.
+
+    ``ksets_dense`` sizes the arrays in a first call and fills them in a
+    second, so that beyond the matrix only the result's arrays are
+    allocated.
+    """
+    from ._kernel import load
+
+    library = load()
+    if library is None:
+        return _from_dense_reference(a, kind, mean)
+    n = a.shape[0]
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    indptr = np.empty(n + 1, dtype=np.int64)
+    m = library.ksets_dense(
+        n, a, mean, 0, indptr, np.empty(0, dtype=np.int64), np.empty(0)
+    )
+    indices = np.empty(m, dtype=np.int64)
+    data = np.empty(m)
+    if m:
+        library.ksets_dense(n, a, mean, m, indptr, indices, data)
+    return SparseSymmetricMeasure(n, kind, indptr, indices, data)
+
+
+def _from_dense_reference(
+    a: np.ndarray, kind: str, mean: bool
+) -> SparseSymmetricMeasure:
+    """numpy ``_from_dense_unchecked``: the compiled ``ksets_dense``'s
+    oracle and fallback."""
+    if mean:
+        # An overflow to inf, or inf + -inf = nan, is reported by the
+        # constructor as NonFiniteValue.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (a + a.T) / 2.0
     keys = np.flatnonzero(a)
     return _from_keys(a.shape[0], kind, keys, a.take(keys))
 
@@ -332,13 +371,12 @@ def symmetrize(raw, kind: str = "similarity") -> SparseSymmetricMeasure:
 
     The output value at (i, j) is (raw[i][j] + raw[j][i]) / 2, which
     is how an asymmetric latency matrix is turned into a semi-metric.
+    An overflow to inf, or inf + -inf = nan, raises NonFiniteValue. The
+    compiled ``ksets_dense`` averages and sparsifies in one row-major
+    scan, with no n-by-n mean; when no kernel can be built,
+    ``_from_dense_reference`` does.
     """
-    a = _square(raw)
-    # An overflow to inf, or inf + -inf = nan, is reported by the
-    # constructor as NonFiniteValue.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = (a + a.T) / 2.0
-    return _from_dense_unchecked(mean, kind)
+    return _from_dense_unchecked(_square(raw), kind, mean=True)
 
 
 def measure_of_sets(g: SparseSymmetricMeasure, s1, s2) -> float:

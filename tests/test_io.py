@@ -89,6 +89,18 @@ def old_write_partition_tsv(path, dataset, assign):
             fh.write(f"{dataset.label(i)}\t{cluster}\n")
 
 
+def old_write_edge_list(path, g):
+    """The per-pair edge-list writer that one % format replaced (oracle)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={g.n} kind={g.kind}\n")
+        rows = g.entry_rows()
+        upper = g.indices >= rows
+        for i, j, v in zip(
+            rows[upper].tolist(), g.indices[upper].tolist(), g.data[upper].tolist()
+        ):
+            fh.write(f"{i} {j} {v!r}\n")
+
+
 def old_write_signed_edges(path, graph):
     """The per-edge signed writer that one % format replaced (oracle)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -418,6 +430,46 @@ class TestEdgeList:
         g, dataset = load_edge_list(path, kind="distance")
         assert dataset.n == 3
         assert g.to_dense().tolist() == semimetric3.to_dense().tolist()
+
+    @pytest.mark.parametrize(
+        "triples, n, kind",
+        [
+            # Diagonal entries, negative values and repr values in exponent form.
+            (
+                [(0, 0, 2.5), (0, 1, -1e-07), (1, 2, 1.5e300), (2, 2, -3.0),
+                 (0, 2, 0.1 + 0.2), (3, 1, -2.0)],
+                4,
+                "similarity",
+            ),
+            ([], 1, "similarity"),
+            ([(0, 0, 4.0)], 1, "cohesion"),
+        ],
+        ids=["mixed", "n1_empty", "n1_diagonal"],
+    )
+    def test_write_matches_old_loop(self, tmp_path, triples, n, kind):
+        g = build_from_triples(n, triples, kind=kind)
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        write_edge_list(new, g)
+        old_write_edge_list(old, g)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_write_matches_old_loop_on_a_random_measure(self, tmp_path):
+        rng = np.random.default_rng(7)
+        # One triple per unordered pair; cubes of wide normals give many
+        # exponent-form reprs.
+        pairs = {}
+        for i, j, v in zip(
+            rng.integers(0, 200, 600).tolist(),
+            rng.integers(0, 200, 600).tolist(),
+            (rng.normal(0.0, 1e5, 600) ** 3).tolist(),
+        ):
+            pairs[min(i, j), max(i, j)] = (i, j, v)
+        g = build_from_triples(200, list(pairs.values()))
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        write_edge_list(new, g)
+        old_write_edge_list(old, g)
+        assert new.read_bytes() == old.read_bytes()
+        assert "e+" in new.read_text()
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "edges.txt"

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ksetsplus import _kernel, measure
@@ -174,6 +174,29 @@ def dense_matrices(draw):
     return a, draw(st.sampled_from(KINDS))
 
 
+def from_dense_by_rows(a, kind):
+    """from_dense over the row-count build: the measure's errors, then the
+    symmetry check."""
+    g = dense_unchecked_by_rows(a, kind)
+    if not np.array_equal(a, a.T):
+        raise AsymmetricDuplicate("dense input is not symmetric")
+    return g
+
+
+def symmetrize_by_rows(a, kind):
+    """symmetrize over the row-count build of numpy's (a + a.T) / 2.0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dense_unchecked_by_rows((a + a.T) / 2.0, kind)
+
+
+# Each dense builder with its row-count oracle.
+DENSE_BUILDERS = {
+    "unchecked": (measure._from_dense_unchecked, dense_unchecked_by_rows),
+    "from_dense": (from_dense, from_dense_by_rows),
+    "symmetrize": (symmetrize, symmetrize_by_rows),
+}
+
+
 def dense_outcome(build, a, kind):
     """CSR bytes and kind of build(a, kind), or its error's type and message."""
     try:
@@ -183,22 +206,128 @@ def dense_outcome(build, a, kind):
     return [getattr(g, name).tobytes() for name in CSR] + [g.kind]
 
 
+# build_path is set once per test, not per example, which is all it needs.
+FIXTURE_ONCE = [HealthCheck.function_scoped_fixture]
+
+
 class TestDenseBuildOracle:
-    @given(dense_matrices())
-    @settings(max_examples=400, deadline=None)
-    def test_matches_row_count_build(self, case):
+    @given(case=dense_matrices())
+    @settings(max_examples=400, deadline=None, suppress_health_check=FIXTURE_ONCE)
+    def test_matches_row_count_build(self, build_path, case):
         a, kind = case
         expected = dense_outcome(dense_unchecked_by_rows, a, kind)
         assert dense_outcome(measure._from_dense_unchecked, a, kind) == expected
 
-    @given(dense_matrices(), st.sampled_from([from_dense, symmetrize]))
-    @settings(max_examples=300, deadline=None)
-    def test_public_builders_match_row_count_build(self, case, build):
+    @pytest.mark.parametrize("builder", ["from_dense", "symmetrize"])
+    @given(case=dense_matrices())
+    @settings(max_examples=300, deadline=None, suppress_health_check=FIXTURE_ONCE)
+    def test_public_builders_match_row_count_build(self, build_path, builder, case):
+        build, oracle = DENSE_BUILDERS[builder]
         a, kind = case
+        assert dense_outcome(build, a, kind) == dense_outcome(oracle, a, kind)
+
+    @needs_cc
+    @pytest.mark.parametrize("builder", DENSE_BUILDERS)
+    @given(case=dense_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_reference(self, builder, case):
+        build = DENSE_BUILDERS[builder][0]
+        a, kind = case
+        assert _kernel.load() is not None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(measure, "_from_dense_unchecked", dense_unchecked_by_rows)
+            patch.setattr(_kernel, "load", lambda: None)
             expected = dense_outcome(build, a, kind)
         assert dense_outcome(build, a, kind) == expected
+
+
+class TestDenseBuildPaths:
+    """Edge cases and error precedence of the dense builders, on both paths."""
+
+    @pytest.mark.parametrize(
+        "builder, matrix, kind, expected",
+        [
+            ("from_dense", [[5.0]], "similarity", ([0, 1], [0], [5.0])),
+            ("symmetrize", [[5.0]], "similarity", ([0, 1], [0], [5.0])),
+            ("from_dense", [[0.0]], "distance", ([0, 0], [], [])),
+            ("from_dense", np.zeros((3, 3)), "similarity", ([0, 0, 0, 0], [], [])),
+            ("symmetrize", np.zeros((3, 3)), "distance", ([0, 0, 0, 0], [], [])),
+            # Zeros of both signs are dropped, and so is a mean that cancels.
+            (
+                "from_dense",
+                [[-0.0, 2.0], [2.0, -0.0]],
+                "similarity",
+                ([0, 1, 2], [1, 0], [2.0, 2.0]),
+            ),
+            (
+                "symmetrize",
+                [[-0.0, 1.0], [-1.0, -0.0]],
+                "similarity",
+                ([0, 0, 0], [], []),
+            ),
+            # A mean that overflows, off and on the diagonal.
+            (
+                "symmetrize",
+                [[0.0, 1.7e308], [1.7e308, 0.0]],
+                "similarity",
+                (NonFiniteValue, "non-finite value inf at (0, 1)"),
+            ),
+            (
+                "symmetrize",
+                [[1.7e308]],
+                "cohesion",
+                (NonFiniteValue, "non-finite value inf at (0, 0)"),
+            ),
+            (
+                "symmetrize",
+                [[0.0, np.inf], [-np.inf, 0.0]],
+                "similarity",
+                (NonFiniteValue, "non-finite value nan at (0, 1)"),
+            ),
+            # A NaN is reported before the asymmetry.
+            (
+                "from_dense",
+                [[0.0, 1.0], [np.nan, 0.0]],
+                "similarity",
+                (NonFiniteValue, "non-finite value nan at (1, 0)"),
+            ),
+            (
+                "from_dense",
+                [[0.0, 1.0], [2.0, 0.0]],
+                "similarity",
+                (AsymmetricDuplicate, "dense input is not symmetric"),
+            ),
+            (
+                "from_dense",
+                [[0.0, -1.0], [-1.0, 0.0]],
+                "distance",
+                (NotADistance, "negative distance -1.0 at (0, 1)"),
+            ),
+            (
+                "symmetrize",
+                [[0.0, -1.0], [-3.0, 0.0]],
+                "distance",
+                (NotADistance, "negative distance -2.0 at (0, 1)"),
+            ),
+            (
+                "symmetrize",
+                [[0.0, 1.0], [1.0, 2.0]],
+                "distance",
+                (NotADistance, "nonzero self-distance at point 1"),
+            ),
+        ],
+    )
+    def test_cases(self, build_path, builder, matrix, kind, expected):
+        build = DENSE_BUILDERS[builder][0]
+        try:
+            g = build(matrix, kind)
+        except Exception as exc:
+            assert (type(exc), str(exc)) == expected
+            return
+        assert (g.indptr.tolist(), g.indices.tolist(), g.data.tolist()) == expected
+        assert g.kind == kind
+        assert not np.signbit(g.diag).any()
+        # The arrays own exactly m entries.
+        assert g.indices.base is None and g.data.base is None
 
 
 class TestMeasureOfSets:

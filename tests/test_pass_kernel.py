@@ -4,6 +4,7 @@ the build cache and the fallback when no kernel can be built."""
 import ctypes
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,13 +127,21 @@ def test_table_and_sum_kernels_match_references_bit_for_bit(
 
 @needs_cc
 def test_fallback_gives_the_same_run_and_one_warning(
-    fresh_loader, monkeypatch, caplog, capsys
+    fresh_loader, monkeypatch, caplog, capsys, tmp_path
 ):
     rng = np.random.default_rng(5)
     g = random_similarity_dense(rng, 40, density=0.3)
     d = random_semimetric(rng, 40)
     c = random_cohesion(rng, 40)
     config = RunConfig(k=3, seed=2, restarts=3)
+    # An asymmetric RTT-like matrix, clustered and verified through the CLI.
+    rtt = rng.uniform(1.0, 100.0, size=(30, 30))
+    np.fill_diagonal(rtt, 0.0)
+    latency = tmp_path / "latency.csv"
+    latency.write_text("".join(",".join(f"{v:.3f}" for v in r) + "\n" for r in rtt))
+    partition = tmp_path / "latency.tsv"
+    dense = ["--input", str(latency), "--format", "dense", "--kind", "distance",
+             "--symmetrize"]
 
     def outcome():
         result = run(g, config)
@@ -147,7 +156,14 @@ def test_fallback_gives_the_same_run_and_one_warning(
         capsys.readouterr()
         assert cli.main(["sbm", "--n", "200", "--c", "8", "--seed", "3",
                          "--restarts", "2"]) == 0
+        # The dense loader's ksets_read and ksets_dense, then the engine.
+        assert cli.main(["cluster", *dense, "--k", "3", "--restarts", "2",
+                         "--output", str(partition)]) == 0
+        assert cli.main(["verify", *dense, "--partition", str(partition)]) == 0
+        sidecar = Path(str(partition) + ".json")
         return (
+            partition.read_bytes(),
+            sidecar.read_bytes(),
             result.partition.assign.tolist(),
             result.objective.hex(),
             result.history,
@@ -241,3 +257,16 @@ def test_import_starts_no_compiler(tmp_path):
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_exported_routine_is_typed_and_documented():
+    """The non-static functions of _pass.c are the typed routines, and each
+    has a row in README's Engine kernel table: ctypes would call an untyped
+    one with int arguments."""
+    source = _kernel.SOURCE.read_text()
+    # A definition opens a line with its return type; bodies are indented.
+    defined = re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\(", source, re.MULTILINE)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Engine kernel", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert sorted(defined) == sorted(_kernel._ROUTINES) == sorted(rows)
