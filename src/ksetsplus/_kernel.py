@@ -1,14 +1,17 @@
 """Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The library holds six routines: ``ksets_pass`` (one engine pass),
+The library holds seven routines: ``ksets_pass`` (one engine pass),
 ``ksets_scatter`` (the point-to-set table, from which the engine and
 ``verify`` derive every set sum), ``ksets_build`` (the CSR arrays of a
-measure from its (i, j, value) triples, or the first repeated or
-conflicting pair), ``ksets_dense`` (the CSR arrays of a dense matrix's
-nonzeros, or of those of its mean with its transpose), ``ksets_two_step``
-(the CSR arrays of the signed benchmark's similarity A + 0.5 A^2 from its
-signed edges) and ``ksets_read`` (an edge list or dense CSV of a strict
-grammar into the float64 table np.loadtxt would return, or a refusal).
+measure from its (i, j, value) triples, written in place into the
+result's arrays, or the first bad index, repeated or conflicting pair),
+``ksets_dense`` (the CSR arrays of a dense matrix's nonzeros, or of those
+of its mean with its transpose), ``ksets_check`` (the measure
+constructor's checks of CSR arrays and its diagonal, in one scan),
+``ksets_two_step`` (the CSR arrays of the signed benchmark's similarity
+A + 0.5 A^2 from its signed edges) and ``ksets_read`` (an edge list or
+dense CSV of a strict grammar into the float64 table np.loadtxt would
+return, or a refusal).
 The library is compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -66,15 +69,20 @@ _ROUTINES = {
     ),
     "ksets_build": (
         ctypes.c_int64,
-        # n, count, triples, indptr, entries, pair, values
-        [ctypes.c_int64, ctypes.c_int64, _F64, _I64_OUT, _I64_OUT, _I64_OUT]
-        + [_F64_OUT],
+        # n, count, triples, indptr, indices, data, pair, values
+        [ctypes.c_int64, ctypes.c_int64, _F64, _I64_OUT, _I64_OUT, _F64_OUT]
+        + [_I64_OUT, _F64_OUT],
     ),
     "ksets_dense": (
         ctypes.c_int64,
         # n, a, mean, cap, indptr, indices, data
         [ctypes.c_int64, _F64, ctypes.c_int64, ctypes.c_int64]
         + [_I64_OUT, _I64_OUT, _F64_OUT],
+    ),
+    "ksets_check": (
+        ctypes.c_int64,
+        # n, CSR, diag, out
+        [ctypes.c_int64, *_CSR, _F64_OUT, _I64_OUT],
     ),
     "ksets_two_step": (
         ctypes.c_int64,

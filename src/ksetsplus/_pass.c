@@ -1,17 +1,20 @@
-/* The six compiled routines of ksetsplus: the K-sets+ kernels over a CSR
+/* The seven compiled routines of ksetsplus: the K-sets+ kernels over a CSR
  * measure, the twins of ksetsplus.engine._run_pass_reference and
  * _point_to_set_reference; the CSR builds ksets_build, the twin of
- * ksetsplus.measure._build_from_triples_reference, and ksets_dense, the
- * twin of ksetsplus.measure._from_dense_reference; the signed benchmark's
- * similarity ksets_two_step, the twin of
+ * ksetsplus.measure._build_from_triples_reference, which works in the
+ * result's own arrays, and ksets_dense, the twin of
+ * ksetsplus.measure._from_dense_reference; the measure constructor's checks
+ * ksets_check, the twin of ksetsplus.measure._check_reference; the signed
+ * benchmark's similarity ksets_two_step, the twin of
  * ksetsplus.experiments._similarity_from_signed_reference; and the text
  * reader ksets_read, the twin of ksetsplus.io._read_loadtxt.
  *
  * Every expression keeps the reference's operation order and int-to-double
  * conversions, and the build passes -ffp-contract=off, so moves, tables and
  * sums match the numpy and Python code bit for bit. The callers check that
- * assign covers the measure's n points with set indices in [0, k), and that
- * every triple's indices and every edge's endpoints are integers in [0, n).
+ * assign covers the measure's n points with set indices in [0, k), that a
+ * measure's CSR arrays passed ksets_check, and that every edge's endpoints
+ * are integers in [0, n); ksets_build checks its triples' indices itself.
  */
 #include <math.h>
 #include <stdint.h>
@@ -89,8 +92,17 @@ void ksets_scatter(int64_t n, int64_t k, const int64_t *indptr,
     }
 }
 
-/* One orientation of a triple in its row: key is column * 2 + flag, where
- * flag 1 marks the mirror of a triple (j, i, v) into row i. */
+/* A hint to fetch the cache line at p for writing, where the compiler has
+ * the builtin; it never faults. */
+#if defined(__GNUC__)
+#define KSETS_PREFETCH_WRITE(p) __builtin_prefetch((p), 1)
+#else
+#define KSETS_PREFETCH_WRITE(p) ((void)(p))
+#endif
+
+/* One orientation of a triple in its row, in the scratch that qsort sorts a
+ * long row in: key is column * 2 + flag, where flag 1 marks the mirror of a
+ * triple (j, i, v) into row i. */
 struct ksets_entry {
     int64_t key;
     double value;
@@ -103,100 +115,207 @@ static int compare_keys(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Sort a row by key: insertion sort for the short rows of a sparse measure,
- * qsort's O(d log d) for long ones (a star's hub). */
-static void sort_row(struct ksets_entry *row, int64_t d)
+/* Sort a row's d keys, and its values with them, by key: insertion sort for
+ * the short rows of a sparse measure, qsort's O(d log d) through scratch
+ * (room for d entries) for long ones (a star's hub). */
+static void sort_row(int64_t *key, double *value, int64_t d,
+                     struct ksets_entry *scratch)
 {
     if (d > 16) {
-        qsort(row, (size_t)d, sizeof *row, compare_keys);
+        for (int64_t p = 0; p < d; p++) {
+            scratch[p].key = key[p];
+            scratch[p].value = value[p];
+        }
+        qsort(scratch, (size_t)d, sizeof *scratch, compare_keys);
+        for (int64_t p = 0; p < d; p++) {
+            key[p] = scratch[p].key;
+            value[p] = scratch[p].value;
+        }
         return;
     }
     for (int64_t p = 1; p < d; p++) {
-        struct ksets_entry e = row[p];
+        int64_t k = key[p];
+        double v = value[p];
         int64_t q = p;
-        for (; q > 0 && row[q - 1].key > e.key; q--)
-            row[q] = row[q - 1];
-        row[q] = e;
+        for (; q > 0 && key[q - 1] > k; q--) {
+            key[q] = key[q - 1];
+            value[q] = value[q - 1];
+        }
+        key[q] = k;
+        value[q] = v;
     }
 }
 
-/* The CSR arrays of count (i, j, v) triples, row-major (count, 3), without
- * a global sort: count the degrees of both orientations into indptr (zeroed,
- * n + 1 long), scatter every orientation into its row of entries (room for
- * 2 * count), then sort, check and compact each row in place.
+/* The CSR arrays of count (i, j, v) triples, row-major (count, 3), built in
+ * place in the result's own arrays, without a global sort: check every
+ * triple's indices and count the degrees of both orientations into indptr
+ * (zeroed, n + 1 long), scatter every orientation's key and value into its
+ * row of indices and data (room for 2 * count each), then sort, check and
+ * compact each row in place.
+ *
+ * An index must be integer-valued (NaN is not) and in [0, n). Returns -3
+ * when any index is not an integer, else -4 when one is outside [0, n),
+ * with values[0] the first such triple's i if i is outside, else its j.
  *
  * Row r's entries from its diagonal onward are the pairs (r, c), c >= r, in
  * (lo, hi, orientation) order, flag 0 being the triple (r, c) and flag 1 the
  * triple (c, r), so scanning rows in order finds the first repeated
  * orientation and the first conflicting mirror in the reference's key
- * order. Returns m, with row r's columns and values in entries[indptr[r] ..
- * indptr[r + 1]) as (column, value); -1 when a triple (pair[0], pair[1]) is
- * given twice; or -2 when the pair (lo, hi) = pair is given as (lo, hi)
- * with values[0] and as (hi, lo) with values[1], unequal and not both NaN.
- * Repeats are reported before conflicts. Compaction keeps one entry per
- * mirrored pair and drops exact zeros; NaNs stay for the measure's
- * constructor to reject. */
+ * order. Returns m, with row r's columns and values in indices and data
+ * [indptr[r] .. indptr[r + 1]); -1 when a triple (pair[0], pair[1]) is
+ * given twice; -2 when the pair (lo, hi) = pair is given as (lo, hi) with
+ * values[0] and as (hi, lo) with values[1], unequal and not both NaN; or -5
+ * when the scratch for a row longer than 16 cannot be allocated. Index
+ * errors are reported before repeats, and repeats before conflicts.
+ * Compaction keeps one entry per mirrored pair and drops exact zeros; NaNs
+ * stay for the measure's constructor to reject. */
 int64_t ksets_build(int64_t n, int64_t count, const double *triples,
-                    int64_t *indptr, struct ksets_entry *entries,
+                    int64_t *indptr, int64_t *indices, double *data,
                     int64_t *pair, double *values)
 {
+    double top = (double)n;
+    int64_t outside = 0;
     for (int64_t t = 0; t < count; t++) {
-        int64_t i = (int64_t)triples[3 * t], j = (int64_t)triples[3 * t + 1];
+        double fi = triples[3 * t], fj = triples[3 * t + 1];
+        if (fi != floor(fi) || fj != floor(fj))
+            return -3;
+        int in_i = fi >= 0.0 && fi < top, in_j = fj >= 0.0 && fj < top;
+        if (!in_i || !in_j) {
+            if (!outside)
+                values[0] = in_i ? fj : fi;
+            outside = 1;
+            continue;
+        }
+        int64_t i = (int64_t)fi, j = (int64_t)fj;
         indptr[i + 1]++;
         if (i != j)
             indptr[j + 1]++;
     }
-    for (int64_t r = 0; r < n; r++)
+    if (outside)
+        return -4;
+    int64_t longest = 0;
+    for (int64_t r = 0; r < n; r++) {
+        if (indptr[r + 1] > longest)
+            longest = indptr[r + 1];
         indptr[r + 1] += indptr[r];
-    /* indptr[r] is row r's fill cursor, and ends as the end of row r. */
+    }
+    struct ksets_entry *scratch = NULL;
+    if (longest > 16 && !(scratch = malloc((size_t)longest * sizeof *scratch)))
+        return -5;
+    /* indptr[r] is row r's fill cursor, and ends as the end of row r. Each
+     * orientation is written to two arrays at its row's cursor, anywhere in
+     * them, so the cursors of the triple 16 ahead are prefetched: without
+     * it, this pass took twice as long on a 500k-triple edge list (2-vCPU
+     * Xeon). */
     for (int64_t t = 0; t < count; t++) {
+        if (t + 16 < count) {
+            const double *ahead = triples + 3 * (t + 16);
+            int64_t ai = (int64_t)ahead[0], aj = (int64_t)ahead[1];
+            KSETS_PREFETCH_WRITE(indices + indptr[ai]);
+            KSETS_PREFETCH_WRITE(data + indptr[ai]);
+            KSETS_PREFETCH_WRITE(indices + indptr[aj]);
+            KSETS_PREFETCH_WRITE(data + indptr[aj]);
+        }
         int64_t i = (int64_t)triples[3 * t], j = (int64_t)triples[3 * t + 1];
         double v = triples[3 * t + 2];
-        entries[indptr[i]].key = 2 * j;
-        entries[indptr[i]++].value = v;
+        indices[indptr[i]] = 2 * j;
+        data[indptr[i]++] = v;
         if (i != j) {
-            entries[indptr[j]].key = 2 * i + 1;
-            entries[indptr[j]++].value = v;
+            indices[indptr[j]] = 2 * i + 1;
+            data[indptr[j]++] = v;
         }
     }
     int64_t m = 0, start = 0, conflict = 0;
     for (int64_t r = 0; r < n; r++) {
-        int64_t end = indptr[r];
-        struct ksets_entry *row = entries + start;
-        sort_row(row, end - start);
+        int64_t end = indptr[r], *key = indices + start;
+        double *value = data + start;
+        sort_row(key, value, end - start, scratch);
         for (int64_t p = 0; p + 1 < end - start; p++) {
-            struct ksets_entry a = row[p], b = row[p + 1];
-            if (a.key < 2 * r)
+            int64_t a = key[p], b = key[p + 1];
+            if (a < 2 * r)
                 continue;
-            if (a.key == b.key) {
-                pair[0] = a.key & 1 ? a.key >> 1 : r;
-                pair[1] = a.key & 1 ? r : a.key >> 1;
-                return -1;
+            if (a == b) {
+                pair[0] = a & 1 ? a >> 1 : r;
+                pair[1] = a & 1 ? r : a >> 1;
+                m = -1;
+                goto done;
             }
-            if (!conflict && a.key >> 1 == b.key >> 1 && a.value != b.value
-                && !(isnan(a.value) && isnan(b.value))) {
+            if (!conflict && a >> 1 == b >> 1 && value[p] != value[p + 1]
+                && !(isnan(value[p]) && isnan(value[p + 1]))) {
                 conflict = 1;
                 pair[0] = r;
-                pair[1] = a.key >> 1;
-                values[0] = a.value;
-                values[1] = b.value;
+                pair[1] = a >> 1;
+                values[0] = value[p];
+                values[1] = value[p + 1];
             }
         }
         /* Compacting row r writes only below its own start. */
         indptr[r] = m;
         for (int64_t p = start; p < end; p++) {
-            struct ksets_entry e = entries[p];
-            if (p + 1 < end && entries[p + 1].key >> 1 == e.key >> 1)
+            int64_t k = indices[p];
+            double v = data[p];
+            if (p + 1 < end && indices[p + 1] >> 1 == k >> 1)
                 p++; /* the pair's other orientation, equal once checked */
-            if (e.value != 0.0) {
-                entries[m].key = e.key >> 1;
-                entries[m++].value = e.value;
+            if (v != 0.0) {
+                indices[m] = k >> 1;
+                data[m++] = v;
             }
         }
         start = end;
     }
     indptr[n] = m;
-    return conflict ? -2 : m;
+    if (conflict)
+        m = -2;
+done:
+    free(scratch);
+    return m;
+}
+
+/* The measure constructor's checks of CSR arrays over n points, in one scan,
+ * the twin of ksetsplus.measure._check_reference; the caller has checked
+ * that indptr[0] == 0 and that indices and data hold m = indptr[n] entries.
+ * Returns -1, before it reads any row, when indptr decreases or passes m.
+ * Otherwise returns 0 with diag[r] row r's stored diagonal value (0.0 when
+ * unstored) and out the findings, -1 meaning none: out[0] 1 if a column is
+ * outside [0, n), out[1] 1 if a row's columns do not increase strictly,
+ * out[2] the first non-finite entry, out[3] the first negative entry and
+ * out[4] the first row with a nonzero stored diagonal value. */
+int64_t ksets_check(int64_t n, const int64_t *indptr, const int64_t *indices,
+                    const double *data, double *diag, int64_t *out)
+{
+    int64_t m = indptr[n];
+    for (int64_t r = 0; r < n; r++)
+        if (indptr[r + 1] < indptr[r] || indptr[r + 1] > m)
+            return -1;
+    int64_t outside = 0, unordered = 0, non_finite = -1, negative = -1;
+    int64_t self_row = -1;
+    for (int64_t r = 0; r < n; r++) {
+        double own = 0.0;
+        /* A column at or below -1 is outside, which is reported first. */
+        int64_t previous = -1;
+        for (int64_t p = indptr[r]; p < indptr[r + 1]; p++) {
+            int64_t c = indices[p];
+            double v = data[p];
+            outside |= (uint64_t)c >= (uint64_t)n;
+            unordered |= c <= previous;
+            previous = c;
+            if (non_finite < 0 && !isfinite(v))
+                non_finite = p;
+            if (negative < 0 && v < 0.0)
+                negative = p;
+            if (c == r)
+                own = v;
+        }
+        diag[r] = own;
+        if (self_row < 0 && own != 0.0)
+            self_row = r;
+    }
+    out[0] = outside;
+    out[1] = unordered;
+    out[2] = non_finite;
+    out[3] = negative;
+    out[4] = self_row;
+    return 0;
 }
 
 /* The CSR arrays of the nonzeros of the C-contiguous n-by-n table a, read

@@ -50,8 +50,11 @@ def _read_exact(path, dense: bool, skip: int = 0) -> np.ndarray | None:
         # An anonymous map, not a bytes object: freeing a large bytes object
         # raises glibc's mmap threshold, so later texts and the measure
         # build's temporaries come from a heap that does not shrink back
-        # (5 MB more peak RSS over repeated 10 MB edge lists).
-        with mmap.mmap(-1, size) as text:
+        # (5 MB more peak RSS over repeated 10 MB edge lists). Private and
+        # populated, so that it is not shmem and readinto does not fault
+        # its pages in one by one.
+        flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+        with mmap.mmap(-1, size, flags=flags) as text:
             if fh.readinto(text) != size:
                 return None
             return _read_text(library, np.frombuffer(text, dtype=np.uint8), skip, dense)

@@ -72,10 +72,13 @@ class SparseSymmetricMeasure:
 
     Every constructor of a measure passes through ``__init__``, which
     stores contiguous arrays that own their memory, checks the CSR
-    structure (column indices in range, strictly increasing per row),
-    and rejects non-finite values and, for kind "distance", invalid
-    distances. Instances are immutable by convention after construction
-    and safe to share across threads; treat the arrays as read-only.
+    structure (offsets that do not decrease, column indices in range,
+    strictly increasing per row), and rejects non-finite values and, for
+    kind "distance", invalid distances. The compiled ``ksets_check`` (see
+    ``_kernel``) checks and fills ``diag`` in one scan; when no kernel
+    can be built, ``_check_reference`` does. Instances are immutable by
+    convention after construction and safe to share across threads;
+    treat the arrays as read-only.
     """
 
     __slots__ = ("n", "kind", "indptr", "indices", "data", "diag")
@@ -97,25 +100,27 @@ class SparseSymmetricMeasure:
             raise ArityMismatch(f"{len(self.indptr) - 1} rows for n={n}")
         if not (self.indptr[0] == 0 and self.m == len(self.indices) == len(self.data)):
             raise ArityMismatch("indptr, indices and data describe different entries")
-        if self.m and not 0 <= self.indices.min() <= self.indices.max() < n:
-            raise IndexOutOfRange(f"a column index is outside [0, {n})")
-        # Compare neighbours in place, then forgive each row's first entry:
-        # a one-byte mask, not int64 temporaries, at the build's peak.
-        unordered = self.indices[1:] <= self.indices[:-1]
-        starts = self.indptr[1:-1]
-        unordered[starts[(starts > 0) & (starts < self.m)] - 1] = False
-        if unordered.any():
-            raise KsetsError("column indices must increase strictly within each row")
-        if not np.isfinite(self.data).all():
-            p = int(np.argmin(np.isfinite(self.data)))
-            i, j = self._coordinates(p)
-            raise NonFiniteValue(f"non-finite value {self.data[p]} at ({i}, {j})")
-        rows = self.entry_rows()
-        on_diag = self.indices == rows
-        self.diag = np.zeros(n)
-        self.diag[rows[on_diag]] = self.data[on_diag]
+        from ._kernel import load
+
+        library = load()
+        if library is None:
+            self.diag = _check_reference(self)
+            if kind == "distance":
+                check_distance_values(self)
+            return
+        self.diag = np.empty(n)
+        out = np.empty(5, dtype=np.int64)
+        if library.ksets_check(n, self.indptr, self.indices, self.data, self.diag, out):
+            raise _decreasing_indptr()
+        outside, unordered, non_finite, negative, self_row = out.tolist()
+        if outside:
+            raise _column_outside(n)
+        if unordered:
+            raise _unordered_columns()
+        if non_finite >= 0:
+            raise _non_finite(self, non_finite)
         if kind == "distance":
-            check_distance_values(self)
+            _check_distances(self, self_row, negative)
 
     @property
     def m(self) -> int:
@@ -179,16 +184,63 @@ def _check_index(i: int, n: int):
         raise IndexOutOfRange(f"point index {i} outside [0, {n})")
 
 
+def _check_reference(g: SparseSymmetricMeasure) -> np.ndarray:
+    """The diag of a measure whose array sizes are checked, after numpy
+    checks of its CSR arrays that raise the constructor's errors but not
+    its distance errors: the compiled ``ksets_check``'s oracle and
+    fallback."""
+    if (np.diff(g.indptr) < 0).any():
+        raise _decreasing_indptr()
+    if g.m and not 0 <= g.indices.min() <= g.indices.max() < g.n:
+        raise _column_outside(g.n)
+    # Compare neighbours in place, then forgive each row's first entry.
+    unordered = g.indices[1:] <= g.indices[:-1]
+    starts = g.indptr[1:-1]
+    unordered[starts[(starts > 0) & (starts < g.m)] - 1] = False
+    if unordered.any():
+        raise _unordered_columns()
+    if not np.isfinite(g.data).all():
+        raise _non_finite(g, int(np.argmin(np.isfinite(g.data))))
+    rows = g.entry_rows()
+    on_diag = g.indices == rows
+    diag = np.zeros(g.n)
+    diag[rows[on_diag]] = g.data[on_diag]
+    return diag
+
+
+def _decreasing_indptr() -> ArityMismatch:
+    return ArityMismatch("indptr must not decrease")
+
+
+def _column_outside(n: int) -> IndexOutOfRange:
+    return IndexOutOfRange(f"a column index is outside [0, {n})")
+
+
+def _unordered_columns() -> KsetsError:
+    return KsetsError("column indices must increase strictly within each row")
+
+
+def _non_finite(g: SparseSymmetricMeasure, p: int) -> NonFiniteValue:
+    i, j = g._coordinates(p)
+    return NonFiniteValue(f"non-finite value {g.data[p]} at ({i}, {j})")
+
+
 def check_distance_values(g: SparseSymmetricMeasure):
     """Raise NotADistance on a nonzero self-distance or a negative value."""
     selfs = np.flatnonzero(g.diag)
-    if selfs.size:
-        raise NotADistance(f"nonzero self-distance at point {selfs[0]}")
     negative = np.flatnonzero(g.data < 0.0)
-    if negative.size:
-        p = int(negative[0])
-        i, j = g._coordinates(p)
-        raise NotADistance(f"negative distance {g.data[p]} at ({i}, {j})")
+    first = [int(found[0]) if found.size else -1 for found in (selfs, negative)]
+    _check_distances(g, *first)
+
+
+def _check_distances(g: SparseSymmetricMeasure, self_row: int, negative: int):
+    """Raise NotADistance for the first row with a nonzero self-distance, else
+    for the negative entry at position negative; -1 means none."""
+    if self_row >= 0:
+        raise NotADistance(f"nonzero self-distance at point {self_row}")
+    if negative >= 0:
+        i, j = g._coordinates(negative)
+        raise NotADistance(f"negative distance {g.data[negative]} at ({i}, {j})")
 
 
 def build_from_triples(
@@ -201,8 +253,9 @@ def build_from_triples(
     from storage. Index errors are reported before duplicates, and
     duplicates before conflicting mirror values.
 
-    The compiled ``ksets_build`` (see ``_kernel``) builds the CSR arrays
-    in O(N + n) plus a sort of each row; when no kernel can be built,
+    The compiled ``ksets_build`` (see ``_kernel``) checks the indices and
+    builds the CSR arrays in O(N + n) plus a sort of each row, in place in
+    the result's own arrays; when no kernel can be built,
     ``_build_from_triples_reference`` does.
     """
     # Indices are read as floats so that a fractional index is caught, not
@@ -212,39 +265,45 @@ def build_from_triples(
         t = t.reshape(0, 3)
     elif t.ndim != 2 or t.shape[1] != 3:
         raise ArityMismatch(f"expected (i, j, value) triples, got shape {t.shape}")
-    fi, fj = t[:, 0], t[:, 1]
-    if not (np.array_equal(np.floor(fi), fi) and np.array_equal(np.floor(fj), fj)):
-        raise IndexOutOfRange("point indices must be integers")
-    outside = (fi < 0) | (fi >= n) | (fj < 0) | (fj >= n)
-    if outside.any():
-        p = int(np.argmax(outside))
-        bad = fi[p] if not 0 <= fi[p] < n else fj[p]
-        raise IndexOutOfRange(f"point index {bad:.0f} outside [0, {n})")
-    if n < 1:  # as the constructor would, before the kernel writes indptr[n]
-        raise ArityMismatch("a measure needs at least one point")
     from ._kernel import load
 
-    library = load()
+    # With no points the reference reports the index errors, which come first.
+    library = load() if n >= 1 else None
     if library is None:
         return _build_from_triples_reference(n, t, kind)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    # One (column * 2 + mirrored, value bits) record per stored orientation.
-    entries = np.empty((2 * len(t), 2), dtype=np.int64)
+    # Room for both orientations of every triple; the routine compacts them.
+    indices = np.empty(2 * len(t), dtype=np.int64)
+    data = np.empty(2 * len(t))
     pair = np.zeros(2, dtype=np.int64)
     values = np.zeros(2)
     m = library.ksets_build(
-        n, len(t), np.ascontiguousarray(t), indptr, entries, pair, values
+        n, len(t), np.ascontiguousarray(t), indptr, indices, data, pair, values
     )
     if m == -1:
         raise _given_twice(*pair)
     if m == -2:
         raise _conflicting_mirror(*pair, *values)
-    # Copies that own exactly m entries; the 2N-record buffer goes before
-    # the constructor's checks allocate.
-    indices = entries[:m, 0].copy()
-    data = entries[:m, 1].view(np.float64).copy()
-    del entries
+    if m == -3:
+        raise _fractional_index()
+    if m == -4:
+        raise _index_outside(values[0], n)
+    if m == -5:
+        raise MemoryError("cannot allocate the scratch to sort the longest row")
+    if m < len(indices):
+        # Shrunk in place, so the arrays own exactly m entries; the
+        # routine wrote the kept entries in front.
+        indices.resize(m, refcheck=False)
+        data.resize(m, refcheck=False)
     return SparseSymmetricMeasure(n, kind, indptr, indices, data)
+
+
+def _fractional_index() -> IndexOutOfRange:
+    return IndexOutOfRange("point indices must be integers")
+
+
+def _index_outside(bad: float, n: int) -> IndexOutOfRange:
+    return IndexOutOfRange(f"point index {bad:.0f} outside [0, {n})")
 
 
 def _given_twice(i, j) -> DuplicateEntry:
@@ -258,8 +317,17 @@ def _conflicting_mirror(lo, hi, a, b) -> AsymmetricDuplicate:
 def _build_from_triples_reference(
     n: int, t: np.ndarray, kind: str
 ) -> SparseSymmetricMeasure:
-    """numpy ``build_from_triples`` after its index checks on the (N, 3)
-    array t: the compiled ``ksets_build``'s oracle and fallback."""
+    """numpy ``build_from_triples`` of the (N, 3) array t, index checks
+    included: the compiled ``ksets_build``'s oracle and fallback."""
+    fi, fj = t[:, 0], t[:, 1]
+    if not (np.array_equal(np.floor(fi), fi) and np.array_equal(np.floor(fj), fj)):
+        raise _fractional_index()
+    outside = (fi < 0) | (fi >= n) | (fj < 0) | (fj >= n)
+    if outside.any():
+        p = int(np.argmax(outside))
+        raise _index_outside(fi[p] if not 0 <= fi[p] < n else fj[p], n)
+    if n < 1:  # as the constructor would, before indptr is sized
+        raise ArityMismatch("a measure needs at least one point")
     i, j, v = t[:, 0].astype(np.int64), t[:, 1].astype(np.int64), t[:, 2]
     # Sort by unordered pair, then orientation, so both orientations of a
     # pair are adjacent and a repeated orientation is adjacent to itself.

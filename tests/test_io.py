@@ -414,6 +414,17 @@ class TestExactReader:
         for outcome in self._outcomes(shaped):
             assert isinstance(outcome, tuple)  # loaded, not an error type
 
+    @needs_cc
+    def test_reads_the_same_table_without_map_populate(self, shaped, monkeypatch):
+        import mmap
+
+        populated = [kio._read_exact(path, dense) for path, dense, _ in shaped]
+        monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
+        assert not hasattr(mmap, "MAP_POPULATE")
+        for (path, dense, table), read in zip(shaped, populated):
+            assert table_bytes(read) == table_bytes(table)
+            assert table_bytes(kio._read_exact(path, dense)) == table_bytes(read)
+
     def test_loaders_without_the_kernel_give_the_same_arrays(self, shaped, monkeypatch):
         outcomes = self._outcomes(shaped)
         monkeypatch.setattr(_kernel, "load", lambda: None)

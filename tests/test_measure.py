@@ -408,11 +408,22 @@ class TestStorageInvariants:
             ([0, 2, 2], [1, 0], KsetsError),
             ([0, 2, 2], [1, 1], KsetsError),
             ([0, 1, 3], [1, 0], ArityMismatch),
+            # A decreasing offset, and one above m: found before any row is
+            # read, which the compiled scan relies on.
+            ([0, 2, 1], [1], ArityMismatch),
+            ([0, 3, 1], [5], ArityMismatch),
         ],
     )
     def test_constructor_rejects_malformed_csr(self, indptr, indices, error):
+        data = [1.0 + p for p in range(len(indices))]
         with pytest.raises(error):
-            SparseSymmetricMeasure(2, "similarity", indptr, indices, [1.0, 2.0])
+            SparseSymmetricMeasure(2, "similarity", indptr, indices, data)
+
+    # On both paths, and before the columns: [5] is out of range.
+    @pytest.mark.parametrize("indptr", [[0, 2, 1], [0, 3, 1], [0, -1, 1]])
+    def test_decreasing_indptr_is_a_measure_error(self, build_path, indptr):
+        with pytest.raises(ArityMismatch, match="^indptr must not decrease$"):
+            SparseSymmetricMeasure(2, "similarity", indptr, [5], [1.0])
 
     def test_check_symmetry_catches_unmirrored_entry(self):
         g = SparseSymmetricMeasure(2, "similarity", [0, 1, 1], [1], [1.0])
@@ -540,10 +551,55 @@ def check_against_naive_build(n, triples):
     assert np.all(g.data != 0.0)
 
 
+def _indices(n):
+    """Valid indices seven times in eight, else a fractional, NaN, infinite,
+    negative or too large one; -0.0 counts as valid."""
+    valid = st.integers(0, n - 1).map(float) if n > 1 else st.sampled_from([0.0, -0.0])
+    bad = st.sampled_from([-1.0, 0.5, float(n), n + 2.0, np.nan, np.inf, -np.inf])
+    if not n:
+        return bad
+    pick = st.tuples(st.integers(0, 7), valid, bad)
+    return pick.map(lambda c: c[2] if c[0] == 0 else c[1])
+
+
+bad_index_triples = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(_indices(n), _indices(n), st.sampled_from([0.0, 1.0, -2.5])),
+            max_size=6,
+        ),
+    )
+)
+
+
+def _hub(n, unique):
+    """Triples (0, c, v) or (c, 0, v): one hub row longer than 16, which the
+    compiled build sorts through its scratch. Either spokes to points
+    1 .. n - 1, given at most once per orientation and valued by their
+    point, so that the build succeeds with mirrors and zeros; or spokes to
+    any point with any value, so that repeats and conflicts show."""
+    spoke = st.tuples(
+        st.integers(1 if unique else 0, n - 1),
+        st.booleans(),
+        st.sampled_from([0.0, 1.0, -2.5]),
+    )
+    if unique:
+        spoke = spoke.map(lambda c: (c[0], c[1], [0.0, 1.0, -2.5][c[0] % 3]))
+    return st.lists(
+        spoke, min_size=17, max_size=60, unique_by=(lambda c: c[:2]) if unique else None
+    ).map(lambda spokes: [(0, c, v) if out else (c, 0, v) for c, out, v in spokes])
+
+
+hub_triples = st.integers(10, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(_hub(n, True), _hub(n, False)))
+)
+
+
 class TestBuilderProperty:
     @needs_cc
-    @given(st.one_of(triple_lists, oracle_triples))
-    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(triple_lists, oracle_triples, bad_index_triples, hub_triples))
+    @settings(max_examples=800, deadline=None)
     def test_kernel_matches_reference_bytes(self, case):
         n, triples = case
         assert _kernel.load() is not None
@@ -575,6 +631,84 @@ class TestBuilderProperty:
         g = build_from_triples(n, table)
         for name in ("indptr", "indices", "data", "diag"):
             assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
+
+
+CONSTRUCTOR_VALUES = [0.0, -0.0, 1.0, -2.5, 0.5, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def csr_arrays(draw):
+    """Constructor input over n points, clean or messy: messy rows have
+    columns that are now and then out of range, repeated or unordered, and
+    now and then indptr decreases; messy values are now and then
+    non-finite. Values are negative or zero often."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, n - 1), unique=True).map(sorted)
+    messy_rows = draw(st.booleans())
+    if messy_rows:
+        row = st.one_of(row, st.lists(st.integers(-1, n), max_size=4))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    if messy_rows and draw(st.integers(0, 4)) == 0:
+        indptr[1:-1] = draw(st.permutations(indptr[1:-1].tolist()))
+    indices = [c for r in rows for c in r]
+    values = CONSTRUCTOR_VALUES if draw(st.booleans()) else CONSTRUCTOR_VALUES[:5]
+    data = draw(
+        st.lists(st.sampled_from(values), min_size=len(indices), max_size=len(indices))
+    )
+    return n, draw(st.sampled_from(KINDS)), indptr, indices, data
+
+
+def constructor_outcome(n, kind, indptr, indices, data):
+    """The constructed measure's arrays as bytes, or its error's type and message."""
+    try:
+        g = SparseSymmetricMeasure(n, kind, indptr, indices, data)
+    except KsetsError as exc:
+        return type(exc), str(exc)
+    return [getattr(g, name).tobytes() for name in CSR]
+
+
+class TestConstructorOracle:
+    """ksets_check against the numpy reference: diag bytes, or the error."""
+
+    @needs_cc
+    @given(csr_arrays())
+    @settings(max_examples=500, deadline=None)
+    def test_kernel_matches_reference(self, case):
+        assert _kernel.load() is not None
+        outcome = constructor_outcome(*case)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "load", lambda: None)
+            assert constructor_outcome(*case) == outcome
+
+    @pytest.mark.parametrize(
+        "n, kind, indptr, indices, data, expected",
+        [
+            (1, "distance", [0, 0], [], [], [0.0]),
+            (1, "similarity", [0, 1], [0], [-0.0], [-0.0]),
+            (3, "distance", [0, 1, 1, 2], [2, 0], [1.0, 1.0], [0.0, 0.0, 0.0]),
+            (2, "cohesion", [0, 2, 3], [0, 1, 0], [3.0, -1.0, -1.0], [3.0, 0.0]),
+            # Out-of-range columns come before unordered ones, those before
+            # non-finite values, and those before distance errors.
+            (2, "similarity", [0, 2, 2], [1, 2], [np.nan, 1.0], IndexOutOfRange),
+            (2, "similarity", [0, 2, 2], [1, 0], [np.nan, 1.0], KsetsError),
+            (2, "distance", [0, 2, 3], [0, 1, 0], [1.0, -1.0, np.inf], NonFiniteValue),
+            # A self-distance comes before an earlier negative distance.
+            (2, "distance", [0, 1, 2], [1, 1], [-1.0, 2.0], "self-distance at point 1"),
+            (2, "distance", [0, 1, 2], [1, 0], [1.0, -1.0], "distance -1.0 at (1, 0)"),
+            (2, "similarity", [0, 1, 2], [1, 1], [-1.0, 2.0], [0.0, 2.0]),
+        ],
+    )
+    def test_cases(self, build_path, n, kind, indptr, indices, data, expected):
+        try:
+            g = SparseSymmetricMeasure(n, kind, indptr, indices, data)
+        except KsetsError as exc:
+            if isinstance(expected, str):
+                assert isinstance(exc, NotADistance) and expected in str(exc)
+            else:
+                assert type(exc) is expected
+            return
+        assert g.diag.tobytes() == np.array(expected).tobytes()
 
 
 class TestBuildPaths:
@@ -654,6 +788,52 @@ class TestBuildPaths:
         with pytest.raises(ArityMismatch, match="at least one point"):
             build_from_triples(n, [])
 
+    @pytest.mark.parametrize(
+        "n, triples, message",
+        [
+            # Index errors come before the missing points.
+            (0, [(-1, 0, 1.0)], "point index -1 outside [0, 0)"),
+            (0, [(0.5, 0, 1.0)], "point indices must be integers"),
+            # A fractional index anywhere comes before any out-of-range one.
+            (4, [(5, 0, 1.0), (0.5, 1, 1.0)], "point indices must be integers"),
+            (4, [(0, 1, 1.0), (2, 0.25, 1.0)], "point indices must be integers"),
+            (4, [(np.nan, 1, 1.0)], "point indices must be integers"),
+            (4, [(1, np.nan, 1.0), (9, 0, 1.0)], "point indices must be integers"),
+            (4, [(np.inf, 1, 1.0)], "point index inf outside [0, 4)"),
+            (4, [(0, -np.inf, 1.0)], "point index -inf outside [0, 4)"),
+            # The first bad triple in row order names i if i is bad, else j.
+            (
+                4,
+                [(0, 1, 1.0), (0, 6, 1.0), (8, 0, 1.0)],
+                "point index 6 outside [0, 4)",
+            ),
+            (4, [(9, 7, 1.0), (0, 5, 1.0)], "point index 9 outside [0, 4)"),
+            (4, [(3, -2, 1.0)], "point index -2 outside [0, 4)"),
+            (4, [(4, 0, 1.0)], "point index 4 outside [0, 4)"),
+            # An index error comes before a repeat and before a conflict.
+            (
+                4,
+                [(0, 1, 1.0), (1, 0, 2.0), (0, 1, 1.0), (0, 4, 1.0)],
+                "point index 4 outside [0, 4)",
+            ),
+            (
+                4,
+                [(0, 1, 1.0), (1, 0, 2.0), (1.5, 0, 1.0)],
+                "point indices must be integers",
+            ),
+        ],
+    )
+    def test_index_errors(self, build_path, n, triples, message):
+        assert build_outcome(n, triples) == (IndexOutOfRange, message)
+
+    def test_negative_zero_is_index_zero(self, build_path):
+        g = build_from_triples(2, [(-0.0, 1, 1.0), (1, -0.0, 1.0), (-0.0, -0.0, 2.0)])
+        expected = build_from_triples(2, [(0, 1, 1.0), (1, 0, 1.0), (0, 0, 2.0)])
+        assert [getattr(g, name).tobytes() for name in CSR] == [
+            getattr(expected, name).tobytes() for name in CSR
+        ]
+        assert g.indices.tolist() == [0, 1, 0]
+
 
 @needs_cc
 def test_shuffled_star_builds_like_the_reference():
@@ -668,6 +848,44 @@ def test_shuffled_star_builds_like_the_reference():
     triples[flip, :2] = triples[flip, 1::-1]
     assert _kernel.load() is not None
     assert build_outcome(n, triples) == reference_outcome(n, triples)
+
+
+@needs_cc
+@pytest.mark.parametrize("builder", ["build_from_triples", "symmetrize"])
+def test_compiled_builds_peak_at_their_result(builder):
+    # Beyond the input, a build allocates its result's arrays and nothing
+    # else but small objects: no record buffer, copies or row index.
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    if builder == "build_from_triples":
+        n = 20_000
+        keys = rng.choice(n * n, size=100_000, replace=False)
+        table = np.column_stack([keys // n, keys % n, rng.uniform(0.5, 1.0, keys.size)])
+        table = table[table[:, 0] < table[:, 1]]  # one orientation per pair
+
+        def build():
+            return build_from_triples(n, table)
+
+    else:
+        n = 300
+        raw = rng.uniform(1.0, 2.0, size=(n, n))
+
+        def build():
+            return symmetrize(raw)
+
+    assert _kernel.load() is not None
+    build()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    result = sum(getattr(g, name).nbytes for name in CSR)
+    assert g.m >= 90_000
+    assert result <= peak <= result + 8 * n + 64 * 1024
 
 
 def relabel_loop(assign):
