@@ -9,6 +9,8 @@ failure, 2 input error, 3 invalid parameter.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 import time
@@ -45,6 +47,33 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PARAM = 3
+
+# glibc's mallopt parameter, and the size from which a block is mapped on
+# its own: numpy's huge-page threshold, below every n^2 table and CSR array
+# of the 1000-host and 100,000-point benchmark inputs.
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+
+
+@functools.cache
+def _fix_mmap_threshold() -> None:
+    """Map every block of _MMAP_THRESHOLD bytes or more on its own, once
+    per process; a no-op where the C library has no mallopt.
+
+    glibc raises its mmap threshold to the size of each large block freed,
+    so after the first command a table or CSR array of a few MB comes from
+    the brk heap, which keeps what it grew. Whether the next one's arrays fit
+    in the holes then hangs on where small blocks (output strings, n-sized
+    arrays) landed, so the same cluster-and-verify job on a 1000-host
+    matrix peaked at 60, 67 or 75 MiB in identical processes. A fixed
+    threshold unmaps each large array when it is freed, so peak memory is
+    the arrays alive at once.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def _load_measure(args):
@@ -316,6 +345,7 @@ def main(argv=None) -> int:
     for flag in ("header", "symmetrize"):
         if fmt == "edges" and getattr(args, flag):
             parser.error(f"--{flag} applies to --format dense only")
+    _fix_mmap_threshold()
     try:
         return args.func(args)
     except (KOutOfRange, InvalidProbability) as exc:

@@ -1,4 +1,8 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -572,3 +576,41 @@ def test_out_of_memory_exits_2_with_one_line(
     code = main(["cluster", "--input", edges3, "--k", "2", "--output", str(out)])
     assert code == cli.EXIT_INPUT == 2
     assert capsys.readouterr().err == line
+
+
+_LARGE_BLOCKS = """
+import ctypes, sys
+import numpy as np
+from ksetsplus import cli
+
+class Info(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Info
+if sys.argv[1] == "main":
+    assert cli.main(["cluster", "--input", sys.argv[2], "--k", "2", "--output", sys.argv[3]]) == 0
+np.ones(1 << 20)  # 8 MiB, mapped and freed: glibc would raise its threshold
+before = libc.mallinfo2().hblks
+kept = np.ones(5 << 17)  # 5 MiB
+print(libc.mallinfo2().hblks - before)
+"""
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallinfo2")),
+    reason="needs glibc 2.33 or later",
+)
+def test_main_maps_every_large_array_on_its_own(tmp_path, edges3):
+    """After main, a 5 MiB array is still mapped on its own once an 8 MiB
+    one was freed; by glibc's default it would come from the heap, whose
+    layout then decides the peak memory of the next job."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    mapped = {}
+    for mode in ("plain", "main"):
+        argv = [sys.executable, "-c", _LARGE_BLOCKS, mode, edges3, str(tmp_path / "part.tsv")]
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
+        mapped[mode] = int(run.stdout.split()[-1])
+    assert mapped == {"plain": 0, "main": 1}
