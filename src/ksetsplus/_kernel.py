@@ -12,6 +12,10 @@ constructor's checks of CSR arrays and its diagonal, in one scan),
 A + 0.5 A^2 from its signed edges) and ``ksets_read`` (an edge list or
 dense CSV of a strict grammar into the float64 table np.loadtxt would
 return, or a refusal).
+Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
+``ksets_scatter``, split their rows across ``parts(work)`` threads inside
+the one C call, each part writing only its own rows, so every split gives
+the same bytes; one part starts no thread.
 The library is compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -46,7 +50,7 @@ logger = logging.getLogger("ksetsplus.engine")
 SOURCE = Path(__file__).with_name("_pass.c")
 # No -ffast-math or -march: the kernel must round exactly like the reference
 # code, and -ffp-contract=off keeps the compiler from fusing into FMAs.
-COMMAND = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+COMMAND = ("cc", "-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 
 _I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -64,8 +68,8 @@ _ROUTINES = {
     ),
     "ksets_scatter": (
         None,
-        # n, k, CSR, assign, out
-        [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, _F64_OUT],
+        # n, k, CSR, assign, out, parts
+        [ctypes.c_int64, ctypes.c_int64, *_CSR, _I64, _F64_OUT, ctypes.c_int64],
     ),
     "ksets_build": (
         ctypes.c_int64,
@@ -75,14 +79,14 @@ _ROUTINES = {
     ),
     "ksets_dense": (
         ctypes.c_int64,
-        # n, a, mean, cap, indptr, indices, data
+        # n, a, mean, cap, indptr, indices, data, parts
         [ctypes.c_int64, _F64, ctypes.c_int64, ctypes.c_int64]
-        + [_I64_OUT, _I64_OUT, _F64_OUT],
+        + [_I64_OUT, _I64_OUT, _F64_OUT, ctypes.c_int64],
     ),
     "ksets_check": (
         ctypes.c_int64,
-        # n, CSR, diag, out
-        [ctypes.c_int64, *_CSR, _F64_OUT, _I64_OUT],
+        # n, CSR, diag, out, parts
+        [ctypes.c_int64, *_CSR, _F64_OUT, _I64_OUT, ctypes.c_int64],
     ),
     "ksets_two_step": (
         ctypes.c_int64,
@@ -92,11 +96,34 @@ _ROUTINES = {
     ),
     "ksets_read": (
         ctypes.c_int64,
-        # text, size, skip, dense, out, cap, shape
+        # text, size, skip, dense, out, cap, shape, parts
         [np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64]
-        + [ctypes.c_int64, ctypes.c_int64, _F64_OUT, ctypes.c_int64, _I64_OUT],
+        + [ctypes.c_int64, ctypes.c_int64, _F64_OUT, ctypes.c_int64, _I64_OUT]
+        + [ctypes.c_int64],
     ),
 }
+
+
+# The least work, in inner-loop steps (entries, matrix cells or text bytes),
+# that a split routine gives each part: below 2 * _GRAIN a call runs on the
+# calling thread alone. On a 2-vCPU x86-64 host a thread's start and join
+# took 35-60 us, and _GRAIN steps of any split routine 0.5-1 ms.
+_GRAIN = 1 << 18
+_MAX_PARTS = 8  # KSETS_MAX_PARTS in _pass.c
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def parts(work: int) -> int:
+    """How many parts a split routine runs work steps in: one per CPU this
+    process may run on, at most _MAX_PARTS, and no more than work // _GRAIN."""
+    return min(_cpu_count(), _MAX_PARTS, max(1, work // _GRAIN))
 
 
 def _cache_dir() -> Path:

@@ -15,16 +15,102 @@
  * assign covers the measure's n points with set indices in [0, k), that a
  * measure's CSR arrays passed ksets_check, and that every edge's endpoints
  * are integers in [0, n); ksets_build checks its triples' indices itself.
+ *
+ * Four routines split their rows across up to `parts` threads (at most
+ * KSETS_MAX_PARTS): ksets_read, ksets_dense, ksets_check and ksets_scatter.
+ * Each part runs the routine's one row-range body on its own rows and
+ * writes only its own rows of the output, so the result is the same bytes
+ * for every parts; parts = 1 runs the body on the calling thread and
+ * starts no thread. ksets_pass (moves in visiting order), ksets_build (a
+ * scatter across rows) and ksets_two_step stay on one thread.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+#if defined(_POSIX_THREADS) && _POSIX_THREADS > 0
+#include <pthread.h>
+#define KSETS_THREADS 1
+#endif
 
 #ifndef KSETS_PASS_KEY
 #define KSETS_PASS_KEY "unkeyed"
 #endif
 const char ksets_pass_key[] = "ksetsplus-pass-key:" KSETS_PASS_KEY;
+
+#define KSETS_MAX_PARTS 8
+
+#ifdef KSETS_THREADS
+/* One part of a split routine, for the thread that runs it. */
+struct ksets_job {
+    void (*body)(void *, int64_t);
+    void *context;
+    int64_t part;
+};
+
+static void *run_job(void *job)
+{
+    struct ksets_job *j = job;
+    j->body(j->context, j->part);
+    return NULL;
+}
+#endif
+
+/* parts clamped to [1, KSETS_MAX_PARTS]. */
+static int64_t clamp_parts(int64_t parts)
+{
+    return parts < 1 ? 1 : parts > KSETS_MAX_PARTS ? KSETS_MAX_PARTS : parts;
+}
+
+/* body(context, t) for every part t < parts, a count clamp_parts gave:
+ * parts 1 .. parts - 1 on threads of their own and part 0 on the calling
+ * thread, which joins them all before it returns. A part whose thread
+ * cannot be started runs on the calling thread, as every part does where
+ * POSIX threads are missing. */
+static void run_parts(int64_t parts, void (*body)(void *, int64_t), void *context)
+{
+#ifdef KSETS_THREADS
+    pthread_t thread[KSETS_MAX_PARTS];
+    struct ksets_job job[KSETS_MAX_PARTS];
+    int started[KSETS_MAX_PARTS] = {0};
+    for (int64_t t = 1; t < parts; t++) {
+        job[t].body = body;
+        job[t].context = context;
+        job[t].part = t;
+        started[t] = pthread_create(&thread[t], NULL, run_job, &job[t]) == 0;
+        if (!started[t])
+            body(context, t);
+    }
+    body(context, 0);
+    for (int64_t t = 1; t < parts; t++)
+        if (started[t])
+            pthread_join(thread[t], NULL);
+#else
+    for (int64_t t = 0; t < parts; t++)
+        body(context, t);
+#endif
+}
+
+/* The first row of part t of parts (t = parts gives n) when the rows of a
+ * CSR matrix are split into parts of about equal entry counts; indptr
+ * must not decrease. */
+static int64_t entry_split(const int64_t *indptr, int64_t n, int64_t t, int64_t parts)
+{
+    if (t >= parts)
+        return n;
+    int64_t target = indptr[n] * t / parts, lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (indptr[mid] < target)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
 
 /* One pass; returns its move count. rows is the n-by-k point-to-set table,
  * and ops receives the pass's (ops_delta, ops_update). A pass moves only the
@@ -78,18 +164,38 @@ int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
     return moves;
 }
 
-/* out[r * k + assign[indices[p]]] += data[p] in entry order: the n-by-k
- * point-to-set table, in the order in which np.bincount adds the same
- * weights. */
+struct scatter_job {
+    int64_t n, k, parts;
+    const int64_t *indptr, *indices, *assign;
+    const double *data;
+    double *out;
+};
+
+static void scatter_rows(void *context, int64_t t)
+{
+    const struct scatter_job *c = context;
+    int64_t lo = entry_split(c->indptr, c->n, t, c->parts);
+    int64_t hi = entry_split(c->indptr, c->n, t + 1, c->parts);
+    memset(c->out + lo * c->k, 0, (size_t)((hi - lo) * c->k) * sizeof *c->out);
+    for (int64_t r = lo; r < hi; r++) {
+        double *row = c->out + r * c->k;
+        for (int64_t p = c->indptr[r]; p < c->indptr[r + 1]; p++)
+            row[c->assign[c->indices[p]]] += c->data[p];
+    }
+}
+
+/* out[r * k + assign[indices[p]]] += data[p] in entry order, into out
+ * zeroed here: the n-by-k point-to-set table, in the order in which
+ * np.bincount adds the same weights. The parts hold about equal entry
+ * counts, and each zeroes its own rows, so that the page faults of a
+ * fresh table are split too. */
 void ksets_scatter(int64_t n, int64_t k, const int64_t *indptr,
                    const int64_t *indices, const double *data,
-                   const int64_t *assign, double *out)
+                   const int64_t *assign, double *out, int64_t parts)
 {
-    for (int64_t r = 0; r < n; r++) {
-        double *row = out + r * k;
-        for (int64_t p = indptr[r]; p < indptr[r + 1]; p++)
-            row[assign[indices[p]]] += data[p];
-    }
+    struct scatter_job job = {n, k, clamp_parts(parts), indptr, indices,
+                              assign, data, out};
+    run_parts(job.parts, scatter_rows, &job);
 }
 
 /* A hint to fetch the cache line at p for writing, where the compiler has
@@ -271,6 +377,50 @@ done:
     return m;
 }
 
+struct check_job {
+    int64_t n, parts;
+    const int64_t *indptr, *indices;
+    const double *data;
+    double *diag;
+    int64_t found[KSETS_MAX_PARTS][5]; /* each part's out */
+};
+
+static void check_rows(void *context, int64_t t)
+{
+    struct check_job *c = context;
+    int64_t n = c->n, *found = c->found[t];
+    int64_t lo = entry_split(c->indptr, n, t, c->parts);
+    int64_t hi = entry_split(c->indptr, n, t + 1, c->parts);
+    int64_t outside = 0, unordered = 0, non_finite = -1, negative = -1;
+    int64_t self_row = -1;
+    for (int64_t r = lo; r < hi; r++) {
+        double own = 0.0;
+        /* A column at or below -1 is outside, which is reported first. */
+        int64_t previous = -1;
+        for (int64_t p = c->indptr[r]; p < c->indptr[r + 1]; p++) {
+            int64_t col = c->indices[p];
+            double v = c->data[p];
+            outside |= (uint64_t)col >= (uint64_t)n;
+            unordered |= col <= previous;
+            previous = col;
+            if (non_finite < 0 && !isfinite(v))
+                non_finite = p;
+            if (negative < 0 && v < 0.0)
+                negative = p;
+            if (col == r)
+                own = v;
+        }
+        c->diag[r] = own;
+        if (self_row < 0 && own != 0.0)
+            self_row = r;
+    }
+    found[0] = outside;
+    found[1] = unordered;
+    found[2] = non_finite;
+    found[3] = negative;
+    found[4] = self_row;
+}
+
 /* The measure constructor's checks of CSR arrays over n points, in one scan,
  * the twin of ksetsplus.measure._check_reference; the caller has checked
  * that indptr[0] == 0 and that indices and data hold m = indptr[n] entries.
@@ -279,73 +429,86 @@ done:
  * unstored) and out the findings, -1 meaning none: out[0] 1 if a column is
  * outside [0, n), out[1] 1 if a row's columns do not increase strictly,
  * out[2] the first non-finite entry, out[3] the first negative entry and
- * out[4] the first row with a nonzero stored diagonal value. */
+ * out[4] the first row with a nonzero stored diagonal value. The parts
+ * hold about equal entry counts; their flags are ORed, and the first part
+ * with a finding gives each first. */
 int64_t ksets_check(int64_t n, const int64_t *indptr, const int64_t *indices,
-                    const double *data, double *diag, int64_t *out)
+                    const double *data, double *diag, int64_t *out,
+                    int64_t parts)
 {
     int64_t m = indptr[n];
     for (int64_t r = 0; r < n; r++)
         if (indptr[r + 1] < indptr[r] || indptr[r + 1] > m)
             return -1;
-    int64_t outside = 0, unordered = 0, non_finite = -1, negative = -1;
-    int64_t self_row = -1;
-    for (int64_t r = 0; r < n; r++) {
-        double own = 0.0;
-        /* A column at or below -1 is outside, which is reported first. */
-        int64_t previous = -1;
-        for (int64_t p = indptr[r]; p < indptr[r + 1]; p++) {
-            int64_t c = indices[p];
-            double v = data[p];
-            outside |= (uint64_t)c >= (uint64_t)n;
-            unordered |= c <= previous;
-            previous = c;
-            if (non_finite < 0 && !isfinite(v))
-                non_finite = p;
-            if (negative < 0 && v < 0.0)
-                negative = p;
-            if (c == r)
-                own = v;
-        }
-        diag[r] = own;
-        if (self_row < 0 && own != 0.0)
-            self_row = r;
+    struct check_job job = {n, clamp_parts(parts), indptr, indices, data, diag,
+                            {{0}}};
+    run_parts(job.parts, check_rows, &job);
+    out[0] = out[1] = 0;
+    out[2] = out[3] = out[4] = -1;
+    for (int64_t t = 0; t < job.parts; t++) {
+        const int64_t *found = job.found[t];
+        out[0] |= found[0];
+        out[1] |= found[1];
+        for (int f = 2; f < 5; f++)
+            if (out[f] < 0)
+                out[f] = found[f];
     }
-    out[0] = outside;
-    out[1] = unordered;
-    out[2] = non_finite;
-    out[3] = negative;
-    out[4] = self_row;
     return 0;
+}
+
+struct dense_job {
+    int64_t n, mean, cap, parts;
+    const double *a;
+    int64_t *indptr, *indices;
+    double *data;
+};
+
+static void dense_rows(void *context, int64_t t)
+{
+    const struct dense_job *c = context;
+    int64_t n = c->n, lo = n * t / c->parts, hi = n * (t + 1) / c->parts;
+    int64_t q = c->cap ? c->indptr[lo] : 0;
+    for (int64_t i = lo; i < hi; i++) {
+        const double *row = c->a + i * n;
+        int64_t first = q;
+        for (int64_t j = 0; j < n; j++) {
+            double v = c->mean ? (row[j] + c->a[j * n + i]) / 2.0 : row[j];
+            if (v == 0.0)
+                continue;
+            if (q < c->cap) {
+                c->indices[q] = j;
+                c->data[q] = v;
+            }
+            q++;
+        }
+        if (!c->cap)
+            c->indptr[i + 1] = q - first;
+    }
 }
 
 /* The CSR arrays of the nonzeros of the C-contiguous n-by-n table a, read
  * row by row: a[i][j], or with mean (a[i][j] + a[j][i]) / 2.0, numpy's
  * operation order, so an overflow gives inf and inf + -inf gives nan as
  * (a + a.T) / 2.0 does. Exact zeros of either sign are dropped; NaNs stay
- * for the measure's constructor to reject. Fills indptr (n + 1) and
- * returns m, writing row i's columns and values to indices and data only
- * while they fit in cap entries: a call with cap 0 sizes the arrays, and a
- * second call with cap m fills them. */
+ * for the measure's constructor to reject. Returns m. A call with cap 0
+ * sizes the arrays: it fills indptr (n + 1), each part counting its own
+ * rows. A second call with cap m fills indices and data, each part
+ * writing its rows from the offset the first call left in indptr, and
+ * each entry only if it falls below cap. The parts hold equal row
+ * counts. */
 int64_t ksets_dense(int64_t n, const double *a, int64_t mean, int64_t cap,
-                    int64_t *indptr, int64_t *indices, double *data)
+                    int64_t *indptr, int64_t *indices, double *data,
+                    int64_t parts)
 {
-    int64_t m = 0;
-    indptr[0] = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const double *row = a + i * n;
-        for (int64_t j = 0; j < n; j++) {
-            double v = mean ? (row[j] + a[j * n + i]) / 2.0 : row[j];
-            if (v == 0.0)
-                continue;
-            if (m < cap) {
-                indices[m] = j;
-                data[m] = v;
-            }
-            m++;
-        }
-        indptr[i + 1] = m;
+    struct dense_job job = {n, mean, cap, clamp_parts(parts), a, indptr,
+                            indices, data};
+    run_parts(job.parts, dense_rows, &job);
+    if (!cap) {
+        indptr[0] = 0;
+        for (int64_t i = 0; i < n; i++)
+            indptr[i + 1] += indptr[i];
     }
-    return m;
+    return indptr[n];
 }
 
 /* The similarity A + 0.5 A^2 of count signed edges (edge_i[e], edge_j[e],
@@ -533,6 +696,111 @@ static const unsigned char *skip_comment(const unsigned char *p,
     return p;
 }
 
+/* LF bytes in [p, end): 64 bytes at a time into a byte-wide count, a
+ * loop that compilers vectorize, then the rest one by one. */
+static int64_t count_lines(const unsigned char *p, const unsigned char *end)
+{
+    int64_t lines = 0;
+    for (; end - p >= 64; p += 64) {
+        unsigned char block = 0;
+        for (int i = 0; i < 64; i++)
+            block += p[i] == '\n';
+        lines += block;
+    }
+    for (; p < end; p++)
+        lines += *p == '\n';
+    return lines;
+}
+
+/* One part of a text split at line starts, and what read_rows found in it:
+ * its values go to out (room for room), and every row must have cols
+ * cells, or with cols -1 as many as the first row, which sets cols. */
+struct read_part {
+    const unsigned char *begin, *end;
+    int64_t lines; /* LF bytes in [begin, end) */
+    double *out;
+    int64_t base, room; /* out is the table plus base */
+    int64_t cols, rows, count, declined;
+};
+
+/* Read the lines of part until its end or its max_rows-th row: count its
+ * rows and values, and write the values while they fit in its room. At the
+ * max_rows-th row, begin moves to the start of that row's line. */
+static void read_rows(struct read_part *part, int64_t dense, int64_t max_rows)
+{
+    const unsigned char *p = part->begin, *end = part->end;
+    while (p < end) {
+        const unsigned char *line = p;
+        p = skip_padding(p, end);
+        if (p < end && *p == '#') {
+            if (dense && p != line)
+                goto decline; /* loadtxt reads an indented comment as a row */
+            p = skip_comment(p, end);
+        } else if (p < end && *p != '\n' && *p != '\r') {
+            int64_t fields = 0;
+            for (;;) {
+                double value;
+                const unsigned char *token_end = read_number(p, end, &value);
+                if (!token_end)
+                    goto decline;
+                if (part->count < part->room)
+                    part->out[part->count] = value;
+                part->count++;
+                fields++;
+                p = skip_padding(token_end, end);
+                if (p == end || *p == '\n' || *p == '\r')
+                    break;
+                if (dense) {
+                    if (*p != ',')
+                        goto decline;
+                    p = skip_padding(p + 1, end);
+                } else if (*p == '#') {
+                    p = skip_comment(p, end);
+                    break;
+                } else if (p == token_end) {
+                    goto decline; /* the token runs on, as in 1.5.2 or 0x10 */
+                }
+            }
+            if (part->cols < 0)
+                part->cols = fields;
+            else if (fields != part->cols)
+                goto decline;
+            if (++part->rows == max_rows) {
+                part->begin = line;
+                return;
+            }
+        }
+        if (!p || !(p = end_line(p, end)))
+            goto decline;
+    }
+    return;
+decline:
+    part->declined = 1;
+}
+
+struct read_job {
+    int64_t dense;
+    struct read_part part[KSETS_MAX_PARTS];
+};
+
+static void count_part(void *context, int64_t t)
+{
+    struct read_part *part = &((struct read_job *)context)->part[t];
+    part->lines = count_lines(part->begin, part->end);
+}
+
+static void read_part(void *context, int64_t t)
+{
+    struct read_job *job = context;
+    read_rows(&job->part[t], job->dense, INT64_MAX);
+}
+
+/* min(a * b, limit) for a >= 0, b >= 1 and limit >= 0, without overflow. */
+static int64_t product_below(int64_t a, int64_t b, int64_t limit)
+{
+    return a > limit / b ? limit : a * b;
+}
+
 /* Read a numeric text table, the twin of io._read_loadtxt, row-major into
  * out (room for cap values): an edge list (dense == 0; cells separated by
  * spaces or tabs, '#' starts a comment anywhere) or a dense CSV (cells
@@ -544,69 +812,93 @@ static const unsigned char *skip_comment(const unsigned char *p,
  * the text is outside this grammar, has no rows or does not fit, so that
  * the caller runs np.loadtxt instead. With cap 0 only the first row is
  * read, and shape receives (lines, cols): the line count, which bounds the
- * row count, and the first row's cell count. */
+ * row count, and the first row's cell count.
+ *
+ * Both calls split the text from the first row's line at line starts into
+ * parts of about equal bytes and count each part's LF bytes at once. The
+ * second call then reads the parts at once, part t writing at
+ * min(cols * (LF bytes before it), (its offset in the text) / 2), a bound
+ * on the values before it, since every value but the text's last is
+ * followed by at least one byte; one memmove per part then closes the gaps
+ * that comment and blank lines leave. When every row has cols cells, each
+ * part fits below the next part's start and the whole below
+ * min(lines * cols, (size + 1) / 2), the caller's bound on the values, so
+ * a cap below that bound reads the text as one part, where a gap could
+ * otherwise push the table past cap. */
 int64_t ksets_read(const char *text, int64_t size, int64_t skip, int64_t dense,
-                   double *out, int64_t cap, int64_t *shape)
+                   double *out, int64_t cap, int64_t *shape, int64_t parts)
 {
-    const unsigned char *p = (const unsigned char *)text, *end = p + size;
+    const unsigned char *start = (const unsigned char *)text, *end = start + size;
+    const unsigned char *p = start;
+    int64_t lines = 1;
     /* The header lines; csv.reader would also end a line at a lone CR. */
     for (; skip > 0 && p < end; p++) {
         if (*p == '\r' && (p + 1 == end || p[1] != '\n'))
             return -1;
-        skip -= *p == '\n';
-    }
-    int64_t rows = 0, count = 0;
-    while (p < end) {
-        const unsigned char *line = p;
-        p = skip_padding(p, end);
-        if (p < end && *p == '#') {
-            if (dense && p != line)
-                return -1; /* loadtxt reads an indented comment as a row */
-            p = skip_comment(p, end);
-        } else if (p < end && *p != '\n' && *p != '\r') {
-            int64_t fields = 0;
-            for (;;) {
-                double value;
-                const unsigned char *token_end = read_number(p, end, &value);
-                if (!token_end)
-                    return -1;
-                if (count < cap)
-                    out[count] = value;
-                count++;
-                fields++;
-                p = skip_padding(token_end, end);
-                if (p == end || *p == '\n' || *p == '\r')
-                    break;
-                if (dense) {
-                    if (*p != ',')
-                        return -1;
-                    p = skip_padding(p + 1, end);
-                } else if (*p == '#') {
-                    p = skip_comment(p, end);
-                    break;
-                } else if (p == token_end) {
-                    return -1; /* the token runs on, as in 1.5.2 or 0x10 */
-                }
-            }
-            if (rows == 0)
-                shape[1] = fields;
-            else if (fields != shape[1])
-                return -1;
-            rows++;
-            if (count > cap) {
-                if (cap > 0)
-                    return -1;
-                shape[0] = 1;
-                for (const char *q = text; (q = memchr(q, '\n', text + size - q)); q++)
-                    shape[0]++;
-                return 0;
-            }
+        if (*p == '\n') {
+            skip--;
+            lines++;
         }
-        if (!p || !(p = end_line(p, end)))
-            return -1;
     }
-    if (rows == 0)
+    struct read_part first = {.begin = p, .end = end, .cols = -1};
+    read_rows(&first, dense, 1);
+    if (first.declined || first.rows == 0)
         return -1;
+    /* The split starts at the first row, so that the comment and blank lines
+     * before it, such as an edge list's header comment, leave no gap. */
+    int64_t cols = first.cols;
+    lines += count_lines(p, first.begin);
+    p = first.begin;
+    struct read_job job = {dense, {{0}}};
+    parts = clamp_parts(parts);
+    job.part[0].begin = p;
+    for (int64_t t = 1; t < parts; t++) {
+        const unsigned char *at = p + (end - p) * t / parts;
+        if (at < job.part[t - 1].begin)
+            at = job.part[t - 1].begin;
+        const unsigned char *lf = memchr(at, '\n', (size_t)(end - at));
+        job.part[t].begin = job.part[t - 1].end = lf ? lf + 1 : end;
+    }
+    job.part[parts - 1].end = end;
+    run_parts(parts, count_part, &job);
+    for (int64_t t = 0; t < parts; t++)
+        lines += job.part[t].lines;
+    if (cap == 0) {
+        shape[0] = lines;
+        shape[1] = cols;
+        return 0;
+    }
+    if (cap < product_below(lines, cols, (size + 1) / 2)) {
+        job.part[0].end = end;
+        parts = 1;
+    }
+    int64_t before = 0;
+    for (int64_t t = 0; t < parts; t++) {
+        struct read_part *part = &job.part[t];
+        part->base = product_below(before, cols, (part->begin - start) / 2);
+        part->out = out + part->base;
+        part->cols = cols;
+        before += part->lines;
+    }
+    /* A part that ends at the text's end (the later ones are empty) may
+     * end in a row with no LF, so it has the rest of out. */
+    for (int64_t t = 0; t < parts; t++) {
+        struct read_part *part = &job.part[t];
+        part->room = (part->end < end ? job.part[t + 1].base : cap) - part->base;
+    }
+    run_parts(parts, read_part, &job);
+    int64_t rows = 0, count = 0;
+    for (int64_t t = 0; t < parts; t++)
+        if (job.part[t].declined || job.part[t].count > job.part[t].room)
+            return -1;
+    for (int64_t t = 0; t < parts; t++) {
+        const struct read_part *part = &job.part[t];
+        if (part->base != count)
+            memmove(out + count, part->out, (size_t)part->count * sizeof *out);
+        count += part->count;
+        rows += part->rows;
+    }
     shape[0] = rows;
+    shape[1] = cols;
     return 0;
 }

@@ -128,13 +128,16 @@ def _point_to_set(
     assign is an int64 array of g.n set indices in [0, k), checked by the
     caller; the compiled kernel reads it through a raw pointer.
     """
-    from ._kernel import load
+    from ._kernel import load, parts
 
     library = load()
     if library is None:
         return _point_to_set_reference(g, assign, k)
-    table = np.zeros(g.n * k)
-    library.ksets_scatter(g.n, k, g.indptr, g.indices, g.data, assign, table)
+    # The kernel zeroes the table, each part its own rows.
+    table = np.empty(g.n * k)
+    library.ksets_scatter(
+        g.n, k, g.indptr, g.indices, g.data, assign, table, parts(g.m)
+    )
     return table
 
 

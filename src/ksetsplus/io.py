@@ -63,13 +63,17 @@ def _read_exact(path, dense: bool, skip: int = 0) -> np.ndarray | None:
 def _read_text(library, text: np.ndarray, skip: int, dense: bool) -> np.ndarray | None:
     """ksets_read twice: the first call reads the first row only and bounds
     the table by the text's lines (and by its bytes: a value takes two, the
-    last one one), the second fills the table."""
+    last one one), the second fills the table. Both split the text across
+    _kernel.parts of its bytes."""
+    from ._kernel import parts
+
     args, shape = (text, text.size, skip, dense), np.zeros(2, dtype=np.int64)
-    if library.ksets_read(*args, np.empty(0), 0, shape) != 0:
+    split = parts(text.size)
+    if library.ksets_read(*args, np.empty(0), 0, shape, split) != 0:
         return None
     lines, cols = shape.tolist()
     out = np.empty(min(lines * cols, (text.size + 1) // 2))
-    if library.ksets_read(*args, out, out.size, shape) != 0:
+    if library.ksets_read(*args, out, out.size, shape, split) != 0:
         return None
     rows, cols = shape.tolist()
     return out[: rows * cols].reshape(rows, cols)

@@ -100,7 +100,7 @@ class SparseSymmetricMeasure:
             raise ArityMismatch(f"{len(self.indptr) - 1} rows for n={n}")
         if not (self.indptr[0] == 0 and self.m == len(self.indices) == len(self.data)):
             raise ArityMismatch("indptr, indices and data describe different entries")
-        from ._kernel import load
+        from ._kernel import load, parts
 
         library = load()
         if library is None:
@@ -110,7 +110,8 @@ class SparseSymmetricMeasure:
             return
         self.diag = np.empty(n)
         out = np.empty(5, dtype=np.int64)
-        if library.ksets_check(n, self.indptr, self.indices, self.data, self.diag, out):
+        csr = (self.indptr, self.indices, self.data)
+        if library.ksets_check(n, *csr, self.diag, out, parts(self.m)):
             raise _decreasing_indptr()
         outside, unordered, non_finite, negative, self_row = out.tolist()
         if outside:
@@ -396,7 +397,7 @@ def _from_dense_unchecked(
     second, so that beyond the matrix only the result's arrays are
     allocated.
     """
-    from ._kernel import load
+    from ._kernel import load, parts
 
     library = load()
     if library is None:
@@ -404,13 +405,14 @@ def _from_dense_unchecked(
     n = a.shape[0]
     a = np.ascontiguousarray(a, dtype=np.float64)
     indptr = np.empty(n + 1, dtype=np.int64)
+    split = parts(n * n)
     m = library.ksets_dense(
-        n, a, mean, 0, indptr, np.empty(0, dtype=np.int64), np.empty(0)
+        n, a, mean, 0, indptr, np.empty(0, dtype=np.int64), np.empty(0), split
     )
     indices = np.empty(m, dtype=np.int64)
     data = np.empty(m)
     if m:
-        library.ksets_dense(n, a, mean, m, indptr, indices, data)
+        library.ksets_dense(n, a, mean, m, indptr, indices, data, split)
     return SparseSymmetricMeasure(n, kind, indptr, indices, data)
 
 

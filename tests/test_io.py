@@ -359,17 +359,18 @@ class TestExactReader:
         else:  # loadtxt reads the others
             assert load_edge_list(path)[0].m == entries
 
-    def test_routine_reports_its_shape_and_declines_a_short_output(self):
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_routine_reports_its_shape_and_declines_a_short_output(self, parts):
         library = _kernel.load()
         if library is None:
             pytest.skip("no compiled kernel")
         text = np.frombuffer(b"# c\n1 2\n\n3 4", dtype=np.uint8)
         args, shape = (text, text.size, 0, 0), np.zeros(2, dtype=np.int64)
-        assert library.ksets_read(*args, np.empty(0), 0, shape) == 0
+        assert library.ksets_read(*args, np.empty(0), 0, shape, parts) == 0
         assert shape.tolist() == [4, 2]  # lines, cells of the first row
         out = np.empty(4)
-        assert library.ksets_read(*args, out[:3], 3, shape) == -1
-        assert library.ksets_read(*args, out, 4, shape) == 0
+        assert library.ksets_read(*args, out[:3], 3, shape, parts) == -1
+        assert library.ksets_read(*args, out, 4, shape, parts) == 0
         assert shape.tolist() == [2, 2]
         assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
 

@@ -270,3 +270,10 @@ def test_every_exported_routine_is_typed_and_documented():
     section = readme.split("## Engine kernel", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
     assert sorted(defined) == sorted(_kernel._ROUTINES) == sorted(rows)
+
+
+def test_readme_quotes_the_compile_command():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bullet = readme.split("- **Built on first use.**", 1)[1].split("\n- **", 1)[0]
+    quoted = re.findall(r"`(cc [^`]*)`", bullet)
+    assert quoted == [" ".join(_kernel.COMMAND)]
