@@ -238,8 +238,9 @@ def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
     )
     if m < 0:
         raise MemoryError(f"cannot allocate the two-step scratch of {cap} entries")
-    # Copies that own exactly m entries.
-    indices, data = indices[:m].copy(), data[:m].copy()
+    # Shrunk in place, so the arrays own exactly m entries.
+    indices.resize(m, refcheck=False)
+    data.resize(m, refcheck=False)
     return SparseSymmetricMeasure(n, "similarity", indptr, indices, data)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import os
 import re
 import warnings
 from pathlib import Path
@@ -34,8 +33,10 @@ def _loadtxt(path, dense: bool, skip: int = 0) -> np.ndarray:
 
 
 def _read_exact(path, dense: bool, skip: int = 0) -> np.ndarray | None:
-    """The table np.loadtxt would return, from ksets_read, or None when the
-    file is outside its grammar or no kernel can be built."""
+    """The table np.loadtxt would return, or None when the file is outside
+    ksets_read's grammar, empty or unmappable, or no kernel can be built.
+    ksets_read parses a read-only map of the file in place, so a file that
+    another process truncates meanwhile can end the process with SIGBUS."""
     import mmap
 
     from ._kernel import load
@@ -44,20 +45,15 @@ def _read_exact(path, dense: bool, skip: int = 0) -> np.ndarray | None:
     if library is None:
         return None
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if not size:
+        try:
+            text = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # an empty file, a pipe, a device
             return None
-        # An anonymous map, not a bytes object: freeing a large bytes object
-        # raises glibc's mmap threshold, so later texts and the measure
-        # build's temporaries come from a heap that does not shrink back
-        # (5 MB more peak RSS over repeated 10 MB edge lists). Private and
-        # populated, so that it is not shmem and readinto does not fault
-        # its pages in one by one.
-        flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-        with mmap.mmap(-1, size, flags=flags) as text:
-            if fh.readinto(text) != size:
-                return None
-            return _read_text(library, np.frombuffer(text, dtype=np.uint8), skip, dense)
+    table = _read_text(library, np.frombuffer(text, dtype=np.uint8), skip, dense)
+    # Not closed on an error: the traceback still holds the view, so close()
+    # would raise BufferError over the error; the map goes with the traceback.
+    text.close()
+    return table
 
 
 def _read_text(library, text: np.ndarray, skip: int, dense: bool) -> np.ndarray | None:
@@ -160,15 +156,20 @@ def write_edge_list(path, g: SparseSymmetricMeasure):
     """Write stored entries once per unordered pair."""
     rows = g.entry_rows()
     upper = g.indices >= rows
-    count = int(np.count_nonzero(upper))
-    # One % over the interleaved columns formats every line in C.
-    flat = [None] * (3 * count)
-    flat[0::3] = rows[upper].tolist()
-    flat[1::3] = g.indices[upper].tolist()
-    flat[2::3] = g.data[upper].tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={g.n} kind={g.kind}\n")
-        fh.write(("%s %s %r\n" * count) % tuple(flat))
+        columns = rows[upper], g.indices[upper], g.data[upper]
+        _write_lines(fh, "%s %s %r\n", *(column.tolist() for column in columns))
+
+
+def _write_lines(fh, line: str, *columns) -> None:
+    """Write one line per row of the equal-length columns: one % over the
+    interleaved columns formats every line in C."""
+    count, width = len(columns[0]), len(columns)
+    flat = [None] * (width * count)
+    for c, column in enumerate(columns):
+        flat[c::width] = column
+    fh.write((line * count) % tuple(flat))
 
 
 def load_dense_csv(
@@ -237,12 +238,9 @@ def write_partition_tsv(path, dataset: DataSet, assign):
     n = dataset.n
     if len(assign) != n:
         raise ValueError(f"{len(assign)} cluster ids for {n} points")
-    # One % over the interleaved labels and ids formats every line in C.
-    flat = [None] * (2 * n)
-    flat[0::2] = range(n) if dataset.labels is None else dataset.labels
-    flat[1::2] = assign
+    labels = range(n) if dataset.labels is None else dataset.labels
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(("%s\t%s\n" * n) % tuple(flat))
+        _write_lines(fh, "%s\t%s\n", labels, assign)
 
 
 def read_partition_tsv(path) -> tuple[list[str], list[int]]:
@@ -273,15 +271,10 @@ def read_partition_tsv(path) -> tuple[list[str], list[int]]:
 def write_signed_edges(path, graph: SignedGraph):
     """Signed edge list with the ground truth alongside."""
     path = Path(path)
-    # One % over the interleaved columns formats every line in C.
-    flat = [None] * (4 * graph.n_edges)
-    flat[0::4] = graph.edge_i.tolist()
-    flat[1::4] = graph.edge_j.tolist()
-    flat[2::4] = graph.sign.tolist()
-    flat[3::4] = graph.truth_sign.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# i j sign truth_sign\n")
-        fh.write(("%s %s %s %s\n" * graph.n_edges) % tuple(flat))
+        columns = graph.edge_i, graph.edge_j, graph.sign, graph.truth_sign
+        _write_lines(fh, "%s %s %s %s\n", *(column.tolist() for column in columns))
         fh.write("# block per node: " + " ".join(str(b) for b in graph.block) + "\n")
 
 

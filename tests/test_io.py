@@ -416,15 +416,55 @@ class TestExactReader:
             assert isinstance(outcome, tuple)  # loaded, not an error type
 
     @needs_cc
-    def test_reads_the_same_table_without_map_populate(self, shaped, monkeypatch):
+    def test_parses_a_read_only_view_of_the_file(self, shaped, monkeypatch):
         import mmap
 
-        populated = [kio._read_exact(path, dense) for path, dense, _ in shaped]
-        monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
-        assert not hasattr(mmap, "MAP_POPULATE")
-        for (path, dense, table), read in zip(shaped, populated):
+        seen = []
+        read_text = kio._read_text
+
+        def spy(library, text, skip, dense):
+            # Neither the view nor its memoryview base is kept: either
+            # would keep the map from closing.
+            seen.append((text.flags.writeable, text.base.obj, text.tobytes()))
+            return read_text(library, text, skip, dense)
+
+        monkeypatch.setattr(kio, "_read_text", spy)
+        for path, dense, table in shaped:
+            read = kio._read_exact(path, dense)
             assert table_bytes(read) == table_bytes(table)
-            assert table_bytes(kio._read_exact(path, dense)) == table_bytes(read)
+            writeable, buffer, text = seen.pop()
+            assert not writeable
+            assert isinstance(buffer, mmap.mmap) and buffer.closed
+            assert text == path.read_bytes()
+
+    @needs_cc
+    def test_an_error_while_parsing_is_raised_as_it_is(self, shaped, monkeypatch):
+        def out_of_memory(library, text, skip, dense):
+            raise MemoryError("no room for the table")
+
+        monkeypatch.setattr(kio, "_read_text", out_of_memory)
+        with pytest.raises(MemoryError, match="no room"):
+            kio._read_exact(shaped[0][0], dense=False)
+
+    def test_an_unmappable_or_empty_file_goes_to_loadtxt(
+        self, shaped, monkeypatch, tmp_path
+    ):
+        import mmap
+
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        assert kio._read_exact(empty, dense=False) is None
+        assert load_edge_list(empty, n=2)[0].m == 0
+        outcomes = self._outcomes(shaped)
+
+        def no_map(*args, **kwargs):
+            raise OSError("cannot map")
+
+        monkeypatch.setattr(mmap, "mmap", no_map)
+        for path, dense, table in shaped:
+            assert kio._read_exact(path, dense) is None
+            assert table_bytes(kio._loadtxt(path, dense)) == table_bytes(table)
+        assert self._outcomes(shaped) == outcomes
 
     def test_loaders_without_the_kernel_give_the_same_arrays(self, shaped, monkeypatch):
         outcomes = self._outcomes(shaped)
