@@ -1,6 +1,6 @@
 """Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The library holds seven routines: ``ksets_pass`` (one engine pass),
+The library holds eight routines: ``ksets_pass`` (one engine pass),
 ``ksets_scatter`` (the point-to-set table, from which the engine and
 ``verify`` derive every set sum), ``ksets_build`` (the CSR arrays of a
 measure from its (i, j, value) triples, written in place into the
@@ -9,9 +9,10 @@ result's arrays, or the first bad index, repeated or conflicting pair),
 of its mean with its transpose), ``ksets_check`` (the measure
 constructor's checks of CSR arrays and its diagonal, in one scan),
 ``ksets_two_step`` (the CSR arrays of the signed benchmark's similarity
-A + 0.5 A^2 from its signed edges) and ``ksets_read`` (an edge list or
+A + 0.5 A^2 from its signed edges), ``ksets_read`` (an edge list or
 dense CSV of a strict grammar into the float64 table np.loadtxt would
-return, or a refusal).
+return, or a refusal) and ``ksets_format`` (an int64 table as the decimal
+text of the partition and signed-edge writers).
 Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
 ``ksets_scatter``, split their rows across ``parts(work)`` threads inside
 the one C call, each part writing only its own rows, so every split gives
@@ -99,6 +100,13 @@ _ROUTINES = {
         # text, size, skip, dense, out, cap, shape, parts
         [np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64]
         + [ctypes.c_int64, ctypes.c_int64, _F64_OUT, ctypes.c_int64, _I64_OUT]
+        + [ctypes.c_int64],
+    ),
+    "ksets_format": (
+        ctypes.c_int64,
+        # rows, cols, table, sep, out, cap
+        [ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int64]
+        + [np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")]
         + [ctypes.c_int64],
     ),
 }

@@ -1,4 +1,4 @@
-/* The seven compiled routines of ksetsplus: the K-sets+ kernels over a CSR
+/* The eight compiled routines of ksetsplus: the K-sets+ kernels over a CSR
  * measure, the twins of ksetsplus.engine._run_pass_reference and
  * _point_to_set_reference; the CSR builds ksets_build, the twin of
  * ksetsplus.measure._build_from_triples_reference, which works in the
@@ -6,8 +6,9 @@
  * ksetsplus.measure._from_dense_reference; the measure constructor's checks
  * ksets_check, the twin of ksetsplus.measure._check_reference; the signed
  * benchmark's similarity ksets_two_step, the twin of
- * ksetsplus.experiments._similarity_from_signed_reference; and the text
- * reader ksets_read, the twin of ksetsplus.io._read_loadtxt.
+ * ksetsplus.experiments._similarity_from_signed_reference; the text
+ * reader ksets_read, the twin of ksetsplus.io._read_loadtxt; and the
+ * integer table writer ksets_format, the twin of ksetsplus.io._write_lines.
  *
  * Every expression keeps the reference's operation order and int-to-double
  * conversions, and the build passes -ffp-contract=off, so moves, tables and
@@ -22,7 +23,8 @@
  * writes only its own rows of the output, so the result is the same bytes
  * for every parts; parts = 1 runs the body on the calling thread and
  * starts no thread. ksets_pass (moves in visiting order), ksets_build (a
- * scatter across rows) and ksets_two_step stay on one thread.
+ * scatter across rows), ksets_two_step and ksets_format (each line's offset
+ * depends on the lines before it) stay on one thread.
  */
 #include <math.h>
 #include <stdint.h>
@@ -901,4 +903,61 @@ int64_t ksets_read(const char *text, int64_t size, int64_t skip, int64_t dense,
     shape[0] = rows;
     shape[1] = cols;
     return 0;
+}
+
+/* "00" "01" .. "99": two digits per division by 100. */
+static const char ksets_digit_pairs[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The decimal digits of v. */
+static int64_t digit_count(uint64_t v)
+{
+    int64_t count = 1;
+    for (; v >= 100; v /= 100)
+        count += 2;
+    return count + (v >= 10);
+}
+
+/* A rows x cols int64 table, row-major, as decimal text into out (room for
+ * cap bytes), the twin of ksetsplus.io._write_lines with a "%s" per cell:
+ * cells separated by the byte sep and every row, an empty one too, ended by
+ * '\n'. A negative value is '-' and its magnitude negated as uint64_t, so
+ * INT64_MIN too. Returns the byte count, or -1, having filled out only in
+ * part, when the text does not fit in cap. */
+int64_t ksets_format(int64_t rows, int64_t cols, const int64_t *table,
+                     int64_t sep, char *out, int64_t cap)
+{
+    int64_t size = 0;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t c = 0; c < cols; c++) {
+            int64_t v = table[r * cols + c];
+            uint64_t magnitude = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+            int64_t width = (v < 0) + digit_count(magnitude);
+            if (width + 1 > cap - size)
+                return -1;
+            if (v < 0)
+                out[size] = '-';
+            char *p = out + size + width; /* past the last digit */
+            for (; magnitude >= 100; magnitude /= 100) {
+                p -= 2;
+                memcpy(p, ksets_digit_pairs + 2 * (magnitude % 100), 2);
+            }
+            if (magnitude >= 10)
+                memcpy(p - 2, ksets_digit_pairs + 2 * magnitude, 2);
+            else
+                p[-1] = (char)('0' + magnitude);
+            size += width;
+            out[size++] = c + 1 < cols ? (char)sep : '\n';
+        }
+        if (cols == 0) {
+            if (size == cap)
+                return -1;
+            out[size++] = '\n';
+        }
+    }
+    return size;
 }

@@ -365,7 +365,7 @@ def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
     offset = 0.0
     if g.kind == "distance":
         offset = float(g.data.sum()) / g.n
-        g = SparseSymmetricMeasure(g.n, "similarity", g.indptr, g.indices, -g.data)
+        g = g._negated()
     best: RunResult | None = None
     for r in range(config.restarts):
         start = config.init_partition or random_balanced_partition(

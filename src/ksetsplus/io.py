@@ -164,12 +164,48 @@ def write_edge_list(path, g: SparseSymmetricMeasure):
 
 def _write_lines(fh, line: str, *columns) -> None:
     """Write one line per row of the equal-length columns: one % over the
-    interleaved columns formats every line in C."""
+    interleaved columns formats every line in C. The byte oracle of
+    ksets_format, and the writers' path when it cannot run."""
     count, width = len(columns[0]), len(columns)
     flat = [None] * (width * count)
     for c, column in enumerate(columns):
         flat[c::width] = column
     fh.write((line * count) % tuple(flat))
+
+
+def _int_column(values) -> np.ndarray | None:
+    """values as a 1-D array of int64-castable integers, each of which "%s"
+    formats as its decimal digits, or None: an ndarray of another dtype or
+    shape (bool and float among them), or a sequence holding anything but
+    ints (a bool too) or an int outside int64."""
+    if type(values) is np.ndarray:
+        ints = values.ndim == 1 and values.dtype.kind in "iu"
+        return values if ints and np.can_cast(values.dtype, np.int64) else None
+    if not all(type(v) is int for v in values):
+        return None
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _format_ints(sep: str, table) -> str | None:
+    """What _write_lines writes for a line of "%s" cells joined by sep, one
+    line per row of the 2-D integer table, formatted by ksets_format; None
+    when no kernel can be built. Each cell takes at most the digits of the
+    table's widest extreme and one separator or newline."""
+    from ._kernel import load
+
+    library = load()
+    if library is None:
+        return None
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    rows, cols = table.shape
+    digits = max(len(str(table.min())), len(str(table.max()))) if table.size else 0
+    out = np.empty(rows * max(cols * (digits + 1), 1), dtype=np.uint8)
+    size = library.ksets_format(rows, cols, table, ord(sep), out, out.size)
+    assert size >= 0, "ksets_format overran its bound"
+    return out[:size].tobytes().decode("ascii")
 
 
 def load_dense_csv(
@@ -235,12 +271,22 @@ def load_geo_csv(path) -> tuple[list[GeoPoint], DataSet]:
 
 
 def write_partition_tsv(path, dataset: DataSet, assign):
+    """One `label<TAB>cluster` line per point, a label being the point's
+    index when the dataset has none. Integer ids of an unlabeled dataset
+    are formatted by ksets_format, everything else by one % format."""
     n = dataset.n
     if len(assign) != n:
         raise ValueError(f"{len(assign)} cluster ids for {n} points")
-    labels = range(n) if dataset.labels is None else dataset.labels
+    ids = None if dataset.labels is not None else _int_column(assign)
+    text = None
+    if ids is not None:
+        text = _format_ints("\t", np.column_stack((np.arange(n), ids)))
     with open(path, "w", encoding="utf-8") as fh:
-        _write_lines(fh, "%s\t%s\n", labels, assign)
+        if text is not None:
+            fh.write(text)
+        else:
+            labels = range(n) if dataset.labels is None else dataset.labels
+            _write_lines(fh, "%s\t%s\n", labels, assign)
 
 
 def read_partition_tsv(path) -> tuple[list[str], list[int]]:
@@ -271,11 +317,22 @@ def read_partition_tsv(path) -> tuple[list[str], list[int]]:
 def write_signed_edges(path, graph: SignedGraph):
     """Signed edge list with the ground truth alongside."""
     path = Path(path)
+    columns = graph.edge_i, graph.edge_j, graph.sign, graph.truth_sign
+    ints = [_int_column(column) for column in columns]
+    edges = None
+    if all(c is not None for c in ints) and len({len(c) for c in ints}) == 1:
+        edges = _format_ints(" ", np.column_stack(ints))
+    block = _int_column(graph.block)
+    blocks = None if block is None else _format_ints(" ", block[np.newaxis])
+    if blocks is None:
+        blocks = " ".join(str(b) for b in graph.block) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# i j sign truth_sign\n")
-        columns = graph.edge_i, graph.edge_j, graph.sign, graph.truth_sign
-        _write_lines(fh, "%s %s %s %s\n", *(column.tolist() for column in columns))
-        fh.write("# block per node: " + " ".join(str(b) for b in graph.block) + "\n")
+        if edges is not None:
+            fh.write(edges)
+        else:
+            _write_lines(fh, "%s %s %s %s\n", *(column.tolist() for column in columns))
+        fh.write("# block per node: " + blocks)
 
 
 def write_sweep_tsv(fh, rows):

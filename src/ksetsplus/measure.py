@@ -70,15 +70,16 @@ class SparseSymmetricMeasure:
         diag: float64 array of gamma(i, i) (0.0 when unstored).
         m: number of stored entries, indptr[-1].
 
-    Every constructor of a measure passes through ``__init__``, which
-    stores contiguous arrays that own their memory, checks the CSR
-    structure (offsets that do not decrease, column indices in range,
-    strictly increasing per row), and rejects non-finite values and, for
-    kind "distance", invalid distances. The compiled ``ksets_check`` (see
-    ``_kernel``) checks and fills ``diag`` in one scan; when no kernel
-    can be built, ``_check_reference`` does. Instances are immutable by
-    convention after construction and safe to share across threads;
-    treat the arrays as read-only.
+    Every constructor of a measure but ``_negated`` passes through
+    ``__init__``, which stores contiguous arrays that own their memory,
+    checks the CSR structure (offsets that do not decrease, column indices
+    in range, strictly increasing per row), and rejects non-finite values
+    and, for kind "distance", invalid distances. The compiled
+    ``ksets_check`` (see ``_kernel``) checks and fills ``diag`` in one
+    scan; when no kernel can be built, ``_check_reference`` does.
+    ``_negated`` derives the similarity -d from a measure that has passed
+    them. Instances are immutable by convention after construction and
+    safe to share across threads; treat the arrays as read-only.
     """
 
     __slots__ = ("n", "kind", "indptr", "indices", "data", "diag")
@@ -122,6 +123,18 @@ class SparseSymmetricMeasure:
             raise _non_finite(self, non_finite)
         if kind == "distance":
             _check_distances(self, self_row, negative)
+
+    def _negated(self) -> SparseSymmetricMeasure:
+        """The similarity -d of this checked distance d, without a second
+        check: negated finite values pass every check. It owns its data
+        and shares indptr, indices and diag. The builders store no zero, so
+        a distance's diag is all +0.0, as the checked constructor's would
+        be; only a 0.0 stored on the diagonal would flip a zero's sign."""
+        negated = object.__new__(SparseSymmetricMeasure)
+        negated.n, negated.kind = self.n, "similarity"
+        negated.indptr, negated.indices = self.indptr, self.indices
+        negated.data, negated.diag = -self.data, self.diag
+        return negated
 
     @property
     def m(self) -> int:

@@ -248,6 +248,24 @@ class TestVerifyCommand:
         assert code == 2
         assert "row 1 is labeled '2', point 0 is '0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x\t0\n1\t0\n2\t1\n", "partition row 1 is labeled 'x', point 0 is '0'"),
+            ("0\t0\n1\t0\n02\t1\n", "partition row 3 is labeled '02', point 2 is '2'"),
+        ],
+        ids=["first", "last"],
+    )
+    def test_label_mismatch_message(self, tmp_path, edges3, capsys, text, message):
+        part = tmp_path / "part.tsv"
+        part.write_text(text)
+        code = main(
+            ["verify", "--input", edges3, "--kind", "distance",
+             "--partition", str(part)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_any_integer_cluster_ids_verify_alike(self, tmp_path, edges3, capsys):
         # {0, 1} and {2} written with 0-based, 1-based and gapped ids.
         outputs = []

@@ -21,7 +21,12 @@ from ksetsplus.errors import (
     KsetsError,
     WouldEmptySet,
 )
-from ksetsplus.measure import Partition, build_from_triples, from_dense
+from ksetsplus.measure import (
+    Partition,
+    SparseSymmetricMeasure,
+    build_from_triples,
+    from_dense,
+)
 from ksetsplus.transforms import lift_similarity, sigma_min
 
 from conftest import (
@@ -266,6 +271,21 @@ class TestRun:
             later >= earlier - 1e-12
             for earlier, later in zip(result.history, result.history[1:])
         )
+
+    def test_a_distance_is_clustered_without_a_second_check(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        upper = np.triu(rng.uniform(0.0, 10.0, size=(20, 20)), k=1)
+        d = from_dense(upper + upper.T, kind="distance")
+        expected = run(d, RunConfig(k=3, seed=2))
+
+        def checked(*args, **kwargs):
+            raise AssertionError("a measure was checked again")
+
+        monkeypatch.setattr(SparseSymmetricMeasure, "__init__", checked)
+        result = run(d, RunConfig(k=3, seed=2))
+        assert result.partition.assign.tolist() == expected.partition.assign.tolist()
+        assert result.objective == expected.objective
+        assert result.history == expected.history
 
     def test_invalid_k(self):
         g = build_from_triples(4, [(0, 1, 1.0)])

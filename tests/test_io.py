@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import tempfile
 import warnings
@@ -855,11 +856,57 @@ class TestPartitionTsv:
         with pytest.raises(ValueError):
             read_partition_tsv(path)
 
-    def test_write_rejects_length_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("assign", [[0, 1], np.array([0, 1])], ids=["list", "array"])
+    def test_write_rejects_length_mismatch(self, tmp_path, build_path, assign):
         path = tmp_path / "part.tsv"
         with pytest.raises(ValueError):
-            write_partition_tsv(path, DataSet(3), [0, 1])
+            write_partition_tsv(path, DataSet(3), assign)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            lambda a: a.tolist(),
+            lambda a: a,
+            lambda a: a.astype(np.int8),
+            lambda a: a.astype(np.uint32),
+            lambda a: a - 6,
+            lambda a: (a % 2).astype(bool).tolist(),
+            lambda a: (a % 2).astype(bool),
+            lambda a: a.astype(np.float64),
+            lambda a: a.astype(np.float32).tolist(),
+            lambda a: a.astype(np.uint64),
+            lambda a: [True] + a.tolist()[1:],
+        ],
+        ids=[
+            "int-list", "int64", "int8", "uint32", "negative", "bool-list",
+            "bool-array", "float-array", "float-list", "uint64", "bool-in-int-list",
+        ],
+    )  # fmt: skip
+    @pytest.mark.parametrize("n", [1, 1001])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_write_matches_old_loop_on_both_paths(
+        self, tmp_path, build_path, ids, n, labeled
+    ):
+        # Labels 0..n-1 cross 10, 100 and 1000, and ids K = 12 >= 10.
+        assign = ids(np.random.default_rng(n).integers(0, 12, size=n))
+        labels = tuple(f"p{i}" for i in range(n)) if labeled else None
+        new, old = tmp_path / "new.tsv", tmp_path / "old.tsv"
+        write_partition_tsv(new, DataSet(n, labels), assign)
+        old_write_partition_tsv(old, DataSet(n, labels), assign)
+        assert new.read_bytes() == old.read_bytes()
+
+    @needs_cc
+    @pytest.mark.parametrize(
+        "assign", [[0, 1, 12], np.array([0, 1, 12]), np.array([0, 1, 12], np.int8)]
+    )
+    def test_integer_ids_of_an_unlabeled_dataset_skip_the_percent_format(
+        self, tmp_path, monkeypatch, assign
+    ):
+        monkeypatch.setattr(kio, "_write_lines", forbidden_write_lines)
+        path = tmp_path / "part.tsv"
+        write_partition_tsv(path, DataSet(3), assign)
+        assert path.read_text() == "0\t0\n1\t1\n2\t12\n"
 
     @pytest.mark.parametrize("labeled", [False, True])
     def test_write_matches_the_f_string_join(self, tmp_path, labeled):
@@ -892,25 +939,116 @@ class TestPartitionTsv:
             assert new.read_bytes() == old.read_bytes()
 
 
+def forbidden_write_lines(*args, **kwargs):
+    raise AssertionError("_write_lines was called")
+
+
+def no_edges(n: int) -> SignedGraph:
+    empty = np.zeros(0, dtype=np.int64)
+    return SignedGraph(n, empty, empty, empty.astype(np.int8), empty.astype(np.int8),
+                       np.arange(n, dtype=np.int8) % 2)  # fmt: skip
+
+
+SBM = sbm_generate(SbmParams(n=1200, c=8.0, diff=5.0, p=0.3, seed=4))
+
+
 class TestSignedEdges:
     @pytest.mark.parametrize(
         "graph",
         [
             sbm_generate(SbmParams(n=300, c=8.0, diff=5.0, p=0.3, seed=4)),
-            SignedGraph(
-                2,
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int8),
-                np.zeros(0, dtype=np.int8),
-                np.array([0, 1], dtype=np.int8),
-            ),
+            # Node ids cross 10, 100 and 1000.
+            SBM,
+            dataclasses.replace(SBM, block=np.arange(SBM.n) % 12),
+            no_edges(2),
+            no_edges(0),
+            # Columns that are not integers keep the % format.
+            dataclasses.replace(SBM, sign=SBM.sign.astype(np.float64)),
+            dataclasses.replace(SBM, truth_sign=SBM.truth_sign > 0),
+            dataclasses.replace(SBM, block=SBM.block.astype(bool)),
+            dataclasses.replace(SBM, edge_i=SBM.edge_i.astype(np.uint64)),
         ],
-        ids=["sbm", "no_edges"],
-    )
-    def test_write_matches_old_loop(self, tmp_path, graph):
+        ids=[
+            "sbm", "sbm-1200", "block-12", "no_edges", "no_nodes",
+            "float-sign", "bool-truth", "bool-block", "uint64-edge",
+        ],
+    )  # fmt: skip
+    def test_write_matches_old_loop(self, tmp_path, build_path, graph):
         new, old = tmp_path / "new.txt", tmp_path / "old.txt"
         write_signed_edges(new, graph)
         old_write_signed_edges(old, graph)
         assert new.read_bytes() == old.read_bytes()
         assert new.read_text().count("\n") == graph.n_edges + 2
+
+    def test_columns_of_different_lengths_are_an_error(self, tmp_path, build_path):
+        graph = dataclasses.replace(SBM, truth_sign=SBM.truth_sign[:-1])
+        with pytest.raises(ValueError, match="extended slice"):
+            write_signed_edges(tmp_path / "g.txt", graph)
+
+    @needs_cc
+    def test_integer_columns_skip_the_percent_format(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kio, "_write_lines", forbidden_write_lines)
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        write_signed_edges(new, SBM)
+        old_write_signed_edges(old, SBM)
+        assert new.read_bytes() == old.read_bytes()
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# Every digit-width boundary, on both signs, and the int64 extremes.
+WIDTHS = sorted(
+    {s * v for d in range(1, 19) for v in (10**d - 1, 10**d) for s in (1, -1)}
+    | {0, 1, -1, INT64_MIN, INT64_MAX, INT64_MIN + 1}
+)
+cells = st.one_of(st.sampled_from(WIDTHS), st.integers(INT64_MIN, INT64_MAX))
+
+
+@st.composite
+def int_tables(draw):
+    rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 6))]))
+    cols = draw(st.integers(1, 4))
+    values = draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=np.int64).reshape(rows, cols)
+
+
+def percent_format(sep: str, table: np.ndarray) -> str:
+    """_write_lines's text for the table, one "%s" per cell."""
+    fh = io.StringIO()
+    kio._write_lines(fh, sep.join(["%s"] * table.shape[1]) + "\n", *table.T.tolist())
+    return fh.getvalue()
+
+
+class TestFormatInts:
+    """ksets_format writes _write_lines's bytes for an int64 table."""
+
+    @needs_cc
+    @given(int_tables(), st.sampled_from([" ", "\t", ","]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_percent_format(self, table, sep):
+        assert kio._format_ints(sep, table) == percent_format(sep, table)
+
+    @needs_cc
+    @pytest.mark.parametrize(
+        "table, text",
+        [
+            (np.zeros((0, 3), np.int64), ""),
+            (np.zeros((2, 0), np.int64), "\n\n"),  # " ".join([]) + "\n" per row
+            (np.array([[INT64_MIN, INT64_MAX]]), f"{INT64_MIN} {INT64_MAX}\n"),
+        ],
+        ids=["no-rows", "no-cols", "extremes"],
+    )
+    def test_routine_returns_its_byte_count_and_declines_a_short_buffer(
+        self, table, text
+    ):
+        library = _kernel.load()
+        rows, cols = table.shape
+        out = np.zeros(len(text) + 4, dtype=np.uint8)
+        args = rows, cols, table, ord(" "), out
+        size = library.ksets_format(*args, len(text))
+        assert size == len(text) and out[:size].tobytes() == text.encode()
+        assert not out[size:].any()
+        if text:
+            assert library.ksets_format(*args, len(text) - 1) == -1
+
+    def test_without_a_kernel_nothing_is_formatted(self, no_kernel):
+        assert kio._format_ints(" ", np.zeros((2, 2), np.int64)) is None

@@ -37,7 +37,7 @@ from ksetsplus.measure import (
 )
 from ksetsplus.transforms import induced_cohesion, lift_similarity
 
-from conftest import needs_cc, random_similarity_dense
+from conftest import needs_cc, random_semimetric, random_similarity_dense
 
 
 class TestBuildFromTriples:
@@ -429,6 +429,34 @@ class TestStorageInvariants:
         g = SparseSymmetricMeasure(2, "similarity", [0, 1, 1], [1], [1.0])
         with pytest.raises(AsymmetricDuplicate):
             g.check_symmetry()
+
+
+class TestNegated:
+    """The unchecked -d gives the checked constructor's arrays."""
+
+    @pytest.mark.parametrize(
+        "distance",
+        [
+            lambda: random_semimetric(np.random.default_rng(3), 12),
+            lambda: build_from_triples(
+                5, [(0, 1, 2.0), (1, 3, 0.5), (2, 4, 7.0), (0, 4, 1e-300)], "distance"
+            ),
+            lambda: haversine_matrix([(0, 0), (1, 2), (-3, 4), (50, -120)]),
+            lambda: SparseSymmetricMeasure(3, "distance", [0, 0, 0, 0], [], []),
+        ],
+        ids=["from_dense", "triples", "haversine", "no_entries"],
+    )
+    def test_arrays_match_the_checked_constructor(self, build_path, distance):
+        d = distance()
+        negated = d._negated()
+        checked = SparseSymmetricMeasure(d.n, "similarity", d.indptr, d.indices, -d.data)
+        assert (negated.n, negated.kind) == (checked.n, checked.kind)
+        for name in SparseSymmetricMeasure.__slots__[2:]:
+            ours, theirs = getattr(negated, name), getattr(checked, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert negated.indptr is d.indptr and negated.indices is d.indices
+        assert negated.diag is d.diag
+        assert negated.data.base is None and negated.data.flags.c_contiguous
 
 
 class TestNonFinite:
