@@ -12,7 +12,7 @@ constructor's checks of CSR arrays and its diagonal, in one scan),
 A + 0.5 A^2 from its signed edges), ``ksets_read`` (an edge list or
 dense CSV of a strict grammar into the float64 table np.loadtxt would
 return, or a refusal) and ``ksets_format`` (an int64 table as the decimal
-text of the partition and signed-edge writers).
+text of the partition writer).
 Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
 ``ksets_scatter``, split their rows across ``parts(work)`` threads inside
 the one C call, each part writing only its own rows, so every split gives

@@ -132,7 +132,12 @@ def cmd_verify(args) -> int:
         raise ArityMismatch(
             f"partition has {len(raw_assign)} rows, measure has {dataset.n} points"
         )
-    _check_point_order(labels, dataset)
+    for i, label in enumerate(labels):
+        if label != dataset.label(i):
+            raise ArityMismatch(
+                f"partition row {i + 1} is labeled {label!r}, "
+                f"point {i} is {dataset.label(i)!r}"
+            )
     # Any integer ids: renumber them 0..K-1 before ordering the sets.
     ids = np.unique(raw_assign, return_inverse=True)[1]
     partition = Partition.from_assign(ids).relabel_by_first_occurrence()
@@ -148,18 +153,6 @@ def cmd_verify(args) -> int:
         return EXIT_OK
     print("verification FAILED", file=sys.stderr)
     return EXIT_VERIFY_FAIL
-
-
-def _check_point_order(labels: list[str], dataset: DataSet) -> None:
-    """Raise ArityMismatch at the first partition row not labeled with its
-    point's label(i); the rows are compared in one list equality."""
-    expected = list(dataset.labels or map(str, range(dataset.n)))
-    if labels != expected:
-        i = next(i for i, (a, b) in enumerate(zip(labels, expected)) if a != b)
-        raise ArityMismatch(
-            f"partition row {i + 1} is labeled {labels[i]!r}, "
-            f"point {i} is {expected[i]!r}"
-        )
 
 
 def cmd_bench(args) -> int:

@@ -165,28 +165,12 @@ def write_edge_list(path, g: SparseSymmetricMeasure):
 def _write_lines(fh, line: str, *columns) -> None:
     """Write one line per row of the equal-length columns: one % over the
     interleaved columns formats every line in C. The byte oracle of
-    ksets_format, and the writers' path when it cannot run."""
+    ksets_format, and write_partition_tsv's path when it cannot run."""
     count, width = len(columns[0]), len(columns)
     flat = [None] * (width * count)
     for c, column in enumerate(columns):
         flat[c::width] = column
     fh.write((line * count) % tuple(flat))
-
-
-def _int_column(values) -> np.ndarray | None:
-    """values as a 1-D array of int64-castable integers, each of which "%s"
-    formats as its decimal digits, or None: an ndarray of another dtype or
-    shape (bool and float among them), or a sequence holding anything but
-    ints (a bool too) or an int outside int64."""
-    if type(values) is np.ndarray:
-        ints = values.ndim == 1 and values.dtype.kind in "iu"
-        return values if ints and np.can_cast(values.dtype, np.int64) else None
-    if not all(type(v) is int for v in values):
-        return None
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return None
 
 
 def _format_ints(sep: str, table) -> str | None:
@@ -272,21 +256,28 @@ def load_geo_csv(path) -> tuple[list[GeoPoint], DataSet]:
 
 def write_partition_tsv(path, dataset: DataSet, assign):
     """One `label<TAB>cluster` line per point, a label being the point's
-    index when the dataset has none. Integer ids of an unlabeled dataset
-    are formatted by ksets_format, everything else by one % format."""
+    index when the dataset has none. An integer id array of an unlabeled
+    dataset is formatted by ksets_format, everything else by one % format."""
     n = dataset.n
     if len(assign) != n:
         raise ValueError(f"{len(assign)} cluster ids for {n} points")
-    ids = None if dataset.labels is not None else _int_column(assign)
+    # "%s" formats each id of such an array as its decimal digits.
+    ints = (
+        type(assign) is np.ndarray
+        and assign.ndim == 1
+        and assign.dtype.kind in "iu"
+        and np.can_cast(assign.dtype, np.int64)
+    )
     text = None
-    if ids is not None:
-        text = _format_ints("\t", np.column_stack((np.arange(n), ids)))
+    if ints and dataset.labels is None:
+        text = _format_ints("\t", np.column_stack((np.arange(n), assign)))
     with open(path, "w", encoding="utf-8") as fh:
         if text is not None:
             fh.write(text)
         else:
             labels = range(n) if dataset.labels is None else dataset.labels
-            _write_lines(fh, "%s\t%s\n", labels, assign)
+            # Python ints format faster than numpy scalars.
+            _write_lines(fh, "%s\t%s\n", labels, assign.tolist() if ints else assign)
 
 
 def read_partition_tsv(path) -> tuple[list[str], list[int]]:
@@ -317,22 +308,11 @@ def read_partition_tsv(path) -> tuple[list[str], list[int]]:
 def write_signed_edges(path, graph: SignedGraph):
     """Signed edge list with the ground truth alongside."""
     path = Path(path)
-    columns = graph.edge_i, graph.edge_j, graph.sign, graph.truth_sign
-    ints = [_int_column(column) for column in columns]
-    edges = None
-    if all(c is not None for c in ints) and len({len(c) for c in ints}) == 1:
-        edges = _format_ints(" ", np.column_stack(ints))
-    block = _int_column(graph.block)
-    blocks = None if block is None else _format_ints(" ", block[np.newaxis])
-    if blocks is None:
-        blocks = " ".join(str(b) for b in graph.block) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# i j sign truth_sign\n")
-        if edges is not None:
-            fh.write(edges)
-        else:
-            _write_lines(fh, "%s %s %s %s\n", *(column.tolist() for column in columns))
-        fh.write("# block per node: " + blocks)
+        columns = graph.edge_i, graph.edge_j, graph.sign, graph.truth_sign
+        _write_lines(fh, "%s %s %s %s\n", *(column.tolist() for column in columns))
+        fh.write("# block per node: " + " ".join(str(b) for b in graph.block) + "\n")
 
 
 def write_sweep_tsv(fh, rows):
