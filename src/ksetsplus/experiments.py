@@ -227,8 +227,9 @@ def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
     if library is None:
         return _similarity_from_signed_reference(n, edge_i, edge_j, sign)
     degree = np.bincount(edge_i, minlength=n) + np.bincount(edge_j, minlength=n)
-    # Each step and each two-step walk adds at most one entry, and no row
-    # holds more than n.
+    # Each step and each two-step walk touches at most one column, and no
+    # row touches more than n; the kernel collects a row's touched columns
+    # in indices before it orders and compacts them there.
     cap = min(int(degree.sum() + degree @ degree), n * n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int64)
@@ -237,7 +238,10 @@ def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
         n, len(edge_i), edge_i, edge_j, sign, cap, indptr, indices, data
     )
     if m < 0:
-        raise MemoryError(f"cannot allocate the two-step scratch of {cap} entries")
+        raise MemoryError(
+            f"cannot allocate the two-step scratch: an adjacency of "
+            f"{2 * len(edge_i)} entries and work arrays for {n} points"
+        )
     # Shrunk in place, so the arrays own exactly m entries.
     indices.resize(m, refcheck=False)
     data.resize(m, refcheck=False)

@@ -324,17 +324,84 @@ class TestSimilarityFromSigned:
     @settings(max_examples=300, deadline=None)
     def test_kernel_matches_the_reference_bit_for_bit(self, case):
         n, edges = case
-        graph = self._graph(n, edges)
+        self.check_kernel(self._graph(n, edges))
+
+    def check_kernel(self, graph):
         assert _kernel.load() is not None
         g = similarity_from_signed(graph)
         expected = _similarity_from_signed_reference(
-            n,
+            graph.n,
             graph.edge_i,
             graph.edge_j,
             graph.sign.astype(np.float64),
         )
         for name in ("indptr", "indices", "data", "diag"):
             assert getattr(g, name).tobytes() == getattr(expected, name).tobytes()
+        return g
+
+    # The kernel orders a row of d touched columns by a bitmap scan when
+    # d > 16 and d * 1024 >= n, and by a sort otherwise: insertion sort up
+    # to 16 columns, heapsort above. Every row of a star with k leaves
+    # touches the hub and all leaves, d = k + 1, so n = 1024 * (k + 1) puts
+    # each row exactly at the switch and one more point just below it. The
+    # leaves are listed in a stride-7 order, so every row is touched out of
+    # order. A hub whose leaves each have a +1 and a -1 edge cancels every
+    # term, so each of its rows is touched and comes out empty.
+    @staticmethod
+    def _star(hub, leaves, cancel=False):
+        edges = []
+        for offset in range(leaves):
+            leaf = hub + 1 + offset * 7 % leaves
+            if cancel:
+                edges += [(hub, leaf, 1), (leaf, hub, -1)]
+            else:
+                edges.append((hub, leaf, 1 if offset % 3 else -1))
+        return edges
+
+    @needs_cc
+    @pytest.mark.parametrize(
+        "n, leaves, cancel",
+        [
+            (40, 15, False),  # d = 16: insertion sort, even for n < 1024 d
+            (1088, 16, False),  # d = 17 far above the switch: bitmap
+            (17408, 16, False),  # d = 17 at the switch: bitmap
+            (17409, 16, False),  # just below: heapsort of 17
+            (50000, 40, False),  # far below: heapsort of 41
+            (40, 15, True),
+            (17408, 16, True),
+            (17409, 16, True),
+        ],
+    )
+    def test_kernel_matches_the_reference_at_the_ordering_switch(
+        self, n, leaves, cancel
+    ):
+        # A cancelling star next to an ordinary one, so that empty rows sit
+        # between rows that keep their entries.
+        edges = self._star(0, leaves, cancel) + self._star(n - leaves - 1, leaves)
+        g = self.check_kernel(self._graph(n, edges))
+        stored = np.diff(g.indptr)
+        assert stored.max() == leaves + 1
+        if cancel:
+            assert stored[: leaves + 1].sum() == 0
+
+    # A hub at point 0 with 10 to 30 leaves among 999, repeated and
+    # cancelling edges allowed, on n near 1024 times its row length, plus a
+    # few other edges: rows fall on both sides of the switch.
+    @needs_cc
+    @given(
+        n=st.integers(10000, 34000),
+        leaves=st.lists(
+            st.tuples(st.integers(1, 999), st.integers(-2, 2)), min_size=10, max_size=30
+        ),
+        extra=st.lists(
+            st.tuples(st.integers(0, 999), st.integers(0, 999), st.integers(-2, 2)),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_the_reference_on_hub_graphs(self, n, leaves, extra):
+        edges = [(0, leaf, sign) for leaf, sign in leaves] + extra
+        self.check_kernel(self._graph(n, edges))
 
 
 class TestEdgeAccuracy:
