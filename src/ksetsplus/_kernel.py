@@ -91,8 +91,8 @@ _ROUTINES = {
     ),
     "ksets_two_step": (
         ctypes.c_int64,
-        # n, count, edge_i, edge_j, sign, cap, indptr, indices, data
-        [ctypes.c_int64, ctypes.c_int64, _I64, _I64, _F64, ctypes.c_int64]
+        # n, count, edge_i, edge_j, sign, indptr, indices, data
+        [ctypes.c_int64, ctypes.c_int64, _I64, _I64, _F64]
         + [_I64_OUT, _I64_OUT, _F64_OUT],
     ),
     "ksets_read": (

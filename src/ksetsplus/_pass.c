@@ -2,13 +2,15 @@
  * measure, the twins of ksetsplus.engine._run_pass_reference and
  * _point_to_set_reference; the CSR builds ksets_build, the twin of
  * ksetsplus.measure._build_from_triples_reference, which works in the
- * result's own arrays, and ksets_dense, the twin of
+ * result's own arrays and allocates nothing, and ksets_dense, the twin of
  * ksetsplus.measure._from_dense_reference; the measure constructor's checks
  * ksets_check, the twin of ksetsplus.measure._check_reference; the signed
  * benchmark's similarity ksets_two_step, the twin of
  * ksetsplus.experiments._similarity_from_signed_reference; the text
  * reader ksets_read, the twin of ksetsplus.io._read_loadtxt; and the
  * integer table writer ksets_format, the twin of ksetsplus.io._write_lines.
+ * ksets_build and ksets_two_step order their rows with one in-place
+ * sort, sort_row.
  *
  * Every expression keeps the reference's operation order and int-to-double
  * conversions, and the build passes -ffp-contract=off, so moves, tables and
@@ -208,36 +210,41 @@ void ksets_scatter(int64_t n, int64_t k, const int64_t *indptr,
 #define KSETS_PREFETCH_WRITE(p) ((void)(p))
 #endif
 
-/* One orientation of a triple in its row, in the scratch that qsort sorts a
- * long row in: key is column * 2 + flag, where flag 1 marks the mirror of a
- * triple (j, i, v) into row i. */
-struct ksets_entry {
-    int64_t key;
-    double value;
-};
-
-static int compare_keys(const void *a, const void *b)
+/* Sift key[r], with its value, down the max-heap key[0 .. d). */
+static void sift_down(int64_t *key, double *value, int64_t r, int64_t d)
 {
-    int64_t x = ((const struct ksets_entry *)a)->key;
-    int64_t y = ((const struct ksets_entry *)b)->key;
-    return (x > y) - (x < y);
+    int64_t k = key[r];
+    double v = value[r];
+    for (int64_t c; (c = 2 * r + 1) < d; r = c) {
+        if (c + 1 < d && key[c + 1] > key[c])
+            c++;
+        if (key[c] <= k)
+            break;
+        key[r] = key[c];
+        value[r] = value[c];
+    }
+    key[r] = k;
+    value[r] = v;
 }
 
-/* Sort a row's d keys, and its values with them, by key: insertion sort for
- * the short rows of a sparse measure, qsort's O(d log d) through scratch
- * (room for d entries) for long ones (a star's hub). */
-static void sort_row(int64_t *key, double *value, int64_t d,
-                     struct ksets_entry *scratch)
+/* Sort a row's d keys, and its values with them, by key, in place:
+ * insertion sort up to 16, for the short rows of a sparse measure, and
+ * heapsort above, O(d log d) on any order (a star's hub). The heapsort's
+ * inline compares made it 2-3 times as fast as qsort's callbacks on rows of
+ * 17-512 ids (2-vCPU Xeon). Equal keys may end in any order. */
+static void sort_row(int64_t *key, double *value, int64_t d)
 {
     if (d > 16) {
-        for (int64_t p = 0; p < d; p++) {
-            scratch[p].key = key[p];
-            scratch[p].value = value[p];
-        }
-        qsort(scratch, (size_t)d, sizeof *scratch, compare_keys);
-        for (int64_t p = 0; p < d; p++) {
-            key[p] = scratch[p].key;
-            value[p] = scratch[p].value;
+        for (int64_t r = d / 2; r-- > 0;)
+            sift_down(key, value, r, d);
+        for (int64_t end = d - 1; end > 0; end--) {
+            int64_t k = key[0];
+            double v = value[0];
+            key[0] = key[end];
+            value[0] = value[end];
+            key[end] = k;
+            value[end] = v;
+            sift_down(key, value, 0, end);
         }
         return;
     }
@@ -257,9 +264,9 @@ static void sort_row(int64_t *key, double *value, int64_t d,
 /* The CSR arrays of count (i, j, v) triples, row-major (count, 3), built in
  * place in the result's own arrays, without a global sort: check every
  * triple's indices and count the degrees of both orientations into indptr
- * (zeroed, n + 1 long), scatter every orientation's key and value into its
- * row of indices and data (room for 2 * count each), then sort, check and
- * compact each row in place.
+ * (zeroed, n + 1 long), scatter every orientation's key (column * 2 + flag)
+ * and value into its row of indices and data (room for 2 * count each),
+ * then sort, check and compact each row in place, allocating nothing.
  *
  * An index must be integer-valued (NaN is not) and in [0, n). Returns -3
  * when any index is not an integer, else -4 when one is outside [0, n),
@@ -272,9 +279,10 @@ static void sort_row(int64_t *key, double *value, int64_t d,
  * order. Returns m, with row r's columns and values in indices and data
  * [indptr[r] .. indptr[r + 1]); -1 when a triple (pair[0], pair[1]) is
  * given twice; -2 when the pair (lo, hi) = pair is given as (lo, hi) with
- * values[0] and as (hi, lo) with values[1], unequal and not both NaN; or -5
- * when the scratch for a row longer than 16 cannot be allocated. Index
- * errors are reported before repeats, and repeats before conflicts.
+ * values[0] and as (hi, lo) with values[1], unequal and not both NaN. Index
+ * errors are reported before repeats, and repeats before conflicts. The
+ * sort may leave a repeated key's twins in either order; a repeat reports
+ * only its key.
  * Compaction keeps one entry per mirrored pair and drops exact zeros; NaNs
  * stay for the measure's constructor to reject. */
 int64_t ksets_build(int64_t n, int64_t count, const double *triples,
@@ -301,15 +309,8 @@ int64_t ksets_build(int64_t n, int64_t count, const double *triples,
     }
     if (outside)
         return -4;
-    int64_t longest = 0;
-    for (int64_t r = 0; r < n; r++) {
-        if (indptr[r + 1] > longest)
-            longest = indptr[r + 1];
+    for (int64_t r = 0; r < n; r++)
         indptr[r + 1] += indptr[r];
-    }
-    struct ksets_entry *scratch = NULL;
-    if (longest > 16 && !(scratch = malloc((size_t)longest * sizeof *scratch)))
-        return -5;
     /* indptr[r] is row r's fill cursor, and ends as the end of row r. Each
      * orientation is written to two arrays at its row's cursor, anywhere in
      * them, so the cursors of the triple 16 ahead are prefetched: without
@@ -337,7 +338,7 @@ int64_t ksets_build(int64_t n, int64_t count, const double *triples,
     for (int64_t r = 0; r < n; r++) {
         int64_t end = indptr[r], *key = indices + start;
         double *value = data + start;
-        sort_row(key, value, end - start, scratch);
+        sort_row(key, value, end - start);
         for (int64_t p = 0; p + 1 < end - start; p++) {
             int64_t a = key[p], b = key[p + 1];
             if (a < 2 * r)
@@ -345,8 +346,7 @@ int64_t ksets_build(int64_t n, int64_t count, const double *triples,
             if (a == b) {
                 pair[0] = a & 1 ? a >> 1 : r;
                 pair[1] = a & 1 ? r : a >> 1;
-                m = -1;
-                goto done;
+                return -1;
             }
             if (!conflict && a >> 1 == b >> 1 && value[p] != value[p + 1]
                 && !(isnan(value[p]) && isnan(value[p + 1]))) {
@@ -372,11 +372,7 @@ int64_t ksets_build(int64_t n, int64_t count, const double *triples,
         start = end;
     }
     indptr[n] = m;
-    if (conflict)
-        m = -2;
-done:
-    free(scratch);
-    return m;
+    return conflict ? -2 : m;
 }
 
 struct check_job {
@@ -528,58 +524,6 @@ static int64_t lowest_bit(uint64_t w)
 #define KSETS_LOWEST_BIT(w) lowest_bit(w)
 #endif
 
-/* Sift id[r] down the max-heap id[0 .. d). */
-static void sift_down(int64_t *id, int64_t r, int64_t d)
-{
-    int64_t k = id[r];
-    for (int64_t c; (c = 2 * r + 1) < d; r = c) {
-        if (c + 1 < d && id[c + 1] > id[c])
-            c++;
-        if (id[c] <= k)
-            break;
-        id[r] = id[c];
-    }
-    id[r] = k;
-}
-
-/* Sort d ids in place: insertion sort up to 16, heapsort above. The
- * heapsort's inline compares made it 2-3 times as fast as qsort's
- * callbacks on rows of 17-512 ids (2-vCPU Xeon), and it stays
- * O(d log d) on any order. */
-static void sort_ids(int64_t *id, int64_t d)
-{
-    if (d > 16) {
-        for (int64_t r = d / 2; r-- > 0;)
-            sift_down(id, r, d);
-        for (int64_t end = d - 1; end > 0; end--) {
-            int64_t top = id[0];
-            id[0] = id[end];
-            id[end] = top;
-            sift_down(id, 0, end);
-        }
-        return;
-    }
-    for (int64_t p = 1; p < d; p++) {
-        int64_t k = id[p], q = p;
-        for (; q > 0 && id[q - 1] > k; q--)
-            id[q] = id[q - 1];
-        id[q] = k;
-    }
-}
-
-/* Column u's sum appended to a row at m when it is nonzero, and cleared;
- * the row's new end. */
-static int64_t keep_sum(int64_t u, double *acc, int64_t *indices, double *data,
-                        int64_t m)
-{
-    if (acc[u] != 0.0) {
-        indices[m] = u;
-        data[m++] = acc[u];
-    }
-    acc[u] = 0.0;
-    return m;
-}
-
 /* The similarity A + 0.5 A^2 of count signed edges (edge_i[e], edge_j[e],
  * sign[e]) over n points, the twin of
  * ksetsplus.experiments._similarity_from_signed_reference. A counting sort
@@ -591,18 +535,18 @@ static int64_t keep_sum(int64_t u, double *acc, int64_t *indices, double *data,
  * multiples of 0.5 from integer signs, so every sum is exact in any order.
  *
  * A row's d touched columns are collected in indices from the row's offset
- * m, as scratch: cap, the caller's bound on the touched columns of all rows,
- * bounds m + d. They are put in increasing order there: by sort_ids's
- * insertion sort when d <= 16; by a scan of a bitmap of the n columns when
- * d * 1024 >= n, at most 16 words a column, which took less time than the
- * heapsort's log d compares; and by sort_ids's heapsort otherwise, where
- * the scan's n / 64 words a row would cost O(n^2) in all. Each nonzero sum
- * is then kept in that order, compacted in place with its value in data.
- * Returns m, with indptr (n + 1), indices and data (room for cap) holding
- * the CSR arrays, or -1 when the scratch (the adjacency and the per-point
- * acc, mark and bitmap) cannot be allocated. */
+ * m, as scratch: the caller's sizing of indices and data, a bound on the
+ * touched columns of all rows, bounds m + d. They are put in increasing
+ * order there: by a scan of a bitmap of the n columns when d > 16 and
+ * d * 1024 >= n, at most 16 words a column, which took less time than a
+ * heapsort's log d compares; otherwise, where the scan's n / 64 words a row
+ * would cost O(n^2) in all, by sort_row, each column's sum gathered beside
+ * it in data first. Each nonzero sum is then kept in that order, compacted
+ * in place with its value in data. Returns m, with indptr (n + 1), indices and
+ * data holding the CSR arrays, or -1 when the scratch (the adjacency and
+ * the per-point acc, mark and bitmap) cannot be allocated. */
 int64_t ksets_two_step(int64_t n, int64_t count, const int64_t *edge_i,
-                       const int64_t *edge_j, const double *sign, int64_t cap,
+                       const int64_t *edge_j, const double *sign,
                        int64_t *indptr, int64_t *indices, double *data)
 {
     int64_t words = (n + 63) / 64;
@@ -613,7 +557,6 @@ int64_t ksets_two_step(int64_t n, int64_t count, const int64_t *edge_i,
     int64_t *mark = malloc((size_t)n * sizeof *mark);
     uint64_t *bits = calloc((size_t)words, sizeof *bits);
     int64_t m = -1;
-    (void)cap;
     if (!start || !adj || !adj_sign || !acc || !mark || !bits)
         goto done;
     indptr[0] = 0;
@@ -660,14 +603,26 @@ int64_t ksets_two_step(int64_t n, int64_t count, const int64_t *edge_i,
             for (int64_t w = 0; w < words; w++) {
                 for (uint64_t b = bits[w]; b; b &= b - 1) {
                     int64_t u = w * 64 + KSETS_LOWEST_BIT(b);
-                    m = keep_sum(u, acc, indices, data, m);
+                    if (acc[u] != 0.0) {
+                        indices[m] = u;
+                        data[m++] = acc[u];
+                    }
+                    acc[u] = 0.0;
                 }
                 bits[w] = 0;
             }
         } else {
-            sort_ids(indices + m, end - m);
-            for (int64_t p = m; p < end; p++)
-                m = keep_sum(indices[p], acc, indices, data, m);
+            for (int64_t p = m; p < end; p++) {
+                data[p] = acc[indices[p]];
+                acc[indices[p]] = 0.0;
+            }
+            sort_row(indices + m, data + m, end - m);
+            for (int64_t p = m; p < end; p++) {
+                if (data[p] != 0.0) {
+                    indices[m] = indices[p];
+                    data[m++] = data[p];
+                }
+            }
         }
         indptr[r + 1] = m;
     }

@@ -229,13 +229,14 @@ def similarity_from_signed(graph: SignedGraph) -> SparseSymmetricMeasure:
     degree = np.bincount(edge_i, minlength=n) + np.bincount(edge_j, minlength=n)
     # Each step and each two-step walk touches at most one column, and no
     # row touches more than n; the kernel collects a row's touched columns
-    # in indices before it orders and compacts them there.
+    # in indices, and on its sort side their sums in data, before it orders
+    # and compacts them there.
     cap = min(int(degree.sum() + degree @ degree), n * n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     indices = np.empty(cap, dtype=np.int64)
     data = np.empty(cap)
     m = library.ksets_two_step(
-        n, len(edge_i), edge_i, edge_j, sign, cap, indptr, indices, data
+        n, len(edge_i), edge_i, edge_j, sign, indptr, indices, data
     )
     if m < 0:
         raise MemoryError(

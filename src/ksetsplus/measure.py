@@ -302,8 +302,6 @@ def build_from_triples(
         raise _fractional_index()
     if m == -4:
         raise _index_outside(values[0], n)
-    if m == -5:
-        raise MemoryError("cannot allocate the scratch to sort the longest row")
     if m < len(indices):
         # Shrunk in place, so the arrays own exactly m entries; the
         # routine wrote the kept entries in front.

@@ -348,10 +348,10 @@ class TestSimilarityFromSigned:
     # order. A hub whose leaves each have a +1 and a -1 edge cancels every
     # term, so each of its rows is touched and comes out empty.
     @staticmethod
-    def _star(hub, leaves, cancel=False):
+    def _star(hub, leaves, cancel=False, stride=7):
         edges = []
         for offset in range(leaves):
-            leaf = hub + 1 + offset * 7 % leaves
+            leaf = hub + 1 + offset * stride % leaves
             if cancel:
                 edges += [(hub, leaf, 1), (leaf, hub, -1)]
             else:
@@ -383,6 +383,14 @@ class TestSimilarityFromSigned:
         assert stored.max() == leaves + 1
         if cancel:
             assert stored[: leaves + 1].sum() == 0
+
+    # Leaves listed in increasing order reach the sort in nearly increasing
+    # order: a heapsort that heapifies too little misplaces the largest.
+    @needs_cc
+    @pytest.mark.parametrize("n, leaves", [(40, 15), (17409, 16), (50000, 40)])
+    def test_kernel_matches_the_reference_on_stars_in_order(self, n, leaves):
+        edges = self._star(0, leaves, stride=1) + self._star(n - leaves - 1, leaves)
+        self.check_kernel(self._graph(n, edges))
 
     # A hub at point 0 with 10 to 30 leaves among 999, repeated and
     # cancelling edges allowed, on n near 1024 times its row length, plus a

@@ -603,7 +603,7 @@ bad_index_triples = st.integers(0, 6).flatmap(
 
 def _hub(n, unique):
     """Triples (0, c, v) or (c, 0, v): one hub row longer than 16, which the
-    compiled build sorts through its scratch. Either spokes to points
+    compiled build sorts by heapsort, in place. Either spokes to points
     1 .. n - 1, given at most once per orientation and valued by their
     point, so that the build succeeds with mirrors and zeros; or spokes to
     any point with any value, so that repeats and conflicts show."""
@@ -874,6 +874,76 @@ def test_shuffled_star_builds_like_the_reference():
     )
     flip = rng.random(n - 1) < 0.5
     triples[flip, :2] = triples[flip, 1::-1]
+    assert _kernel.load() is not None
+    assert build_outcome(n, triples) == reference_outcome(n, triples)
+
+
+def _hub_row(d, order):
+    """Triples that each put one entry in point 0's row, d in all: a self
+    loop, then spokes given as (0, c), as (c, 0) or both ways with equal
+    values, some of them zero, and a last spoke that is nonzero and given
+    once, so that misplacing the largest key shows. The row's keys are
+    scattered in ascending, descending or shuffled order, on the two sides
+    of the compiled build's switch from insertion sort to heapsort at 16
+    entries."""
+    triples = [(0, 0, 2.0)]
+    c = 1
+    while len(triples) < d - 1:
+        v = 0.0 if c % 5 == 0 else c % 3 - 1.5
+        if c % 4 == 3 and len(triples) + 2 < d:
+            triples += [(0, c, v), (c, 0, v)]
+        else:
+            triples.append((0, c, v) if c % 2 else (c, 0, v))
+        c += 1
+    triples.append((c, 0, 1.0))
+    triples.sort(key=lambda t: 2 * t[1] if t[0] == 0 else 2 * t[0] + 1)
+    if order == "descending":
+        triples.reverse()
+    elif order == "shuffled":
+        triples = [triples[p] for p in np.random.default_rng(d).permutation(d)]
+    return c + 1, triples
+
+
+def _repeat_in_hub(d):
+    """A hub row of d entries that holds one orientation twice, with another
+    value, scattered far from its twin."""
+    n, triples = _hub_row(d, "shuffled")
+    return n, [(0, 5, 4.0)] + triples
+
+
+def _conflict_in_hub(d):
+    """A hub row of d entries whose mirror (0, 3) and (3, 0) disagree."""
+    n, triples = _hub_row(d, "shuffled")
+    return n, [(3, 0, 4.0) if t[:2] == (3, 0) else t for t in triples]
+
+
+def _conflict_before_repeat(d):
+    """A conflicting mirror in the hub row and a repeat in a later row: the
+    repeat is reported, as the reference reports repeats before conflicts."""
+    n, triples = _conflict_in_hub(d)
+    return n + 2, triples + [(n, n + 1, 1.0), (n, n + 1, 1.0)]
+
+
+HUB_ROWS = {
+    f"{d}-{order}": _hub_row(d, order)
+    for d in (16, 17, 1000)
+    for order in ("ascending", "descending", "shuffled")
+}
+HUB_ROWS.update(
+    (f"{name}-{d}", make(d))
+    for name, make in [
+        ("repeat", _repeat_in_hub),
+        ("conflict", _conflict_in_hub),
+        ("conflict-then-repeat", _conflict_before_repeat),
+    ]
+    for d in (17, 1000)
+)
+
+
+@needs_cc
+@pytest.mark.parametrize("name", list(HUB_ROWS))
+def test_hub_rows_at_the_sort_switch_build_like_the_reference(name):
+    n, triples = HUB_ROWS[name]
     assert _kernel.load() is not None
     assert build_outcome(n, triples) == reference_outcome(n, triples)
 
