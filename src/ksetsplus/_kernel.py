@@ -11,8 +11,8 @@ constructor's checks of CSR arrays and its diagonal, in one scan),
 ``ksets_two_step`` (the CSR arrays of the signed benchmark's similarity
 A + 0.5 A^2 from its signed edges), ``ksets_read`` (an edge list or
 dense CSV of a strict grammar into the float64 table np.loadtxt would
-return, or a refusal) and ``ksets_format`` (an int64 table as the decimal
-text of the partition writer).
+return, or a refusal) and ``ksets_format`` (an int64 id array as the
+partition writer's ``i<TAB>id`` lines).
 Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
 ``ksets_scatter``, split their rows across ``parts(work)`` threads inside
 the one C call, each part writing only its own rows, so every split gives
@@ -104,8 +104,8 @@ _ROUTINES = {
     ),
     "ksets_format": (
         ctypes.c_int64,
-        # rows, cols, table, sep, out, cap
-        [ctypes.c_int64, ctypes.c_int64, _I64, ctypes.c_int64]
+        # n, ids, out, cap
+        [ctypes.c_int64, _I64]
         + [np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")]
         + [ctypes.c_int64],
     ),

@@ -8,7 +8,7 @@
  * benchmark's similarity ksets_two_step, the twin of
  * ksetsplus.experiments._similarity_from_signed_reference; the text
  * reader ksets_read, the twin of ksetsplus.io._read_loadtxt; and the
- * integer table writer ksets_format, the twin of ksetsplus.io._write_lines.
+ * partition writer ksets_format, the twin of ksetsplus.io._write_lines.
  * ksets_build and ksets_two_step order their rows with one in-place
  * sort, sort_row.
  *
@@ -945,19 +945,18 @@ static int64_t digit_count(uint64_t v)
     return count + (v >= 10);
 }
 
-/* A rows x cols int64 table, row-major, as decimal text into out (room for
- * cap bytes), the twin of ksetsplus.io._write_lines with a "%s" per cell:
- * cells separated by the byte sep and every row, an empty one too, ended by
- * '\n'. A negative value is '-' and its magnitude negated as uint64_t, so
- * INT64_MIN too. Returns the byte count, or -1, having filled out only in
- * part, when the text does not fit in cap. */
-int64_t ksets_format(int64_t rows, int64_t cols, const int64_t *table,
-                     int64_t sep, char *out, int64_t cap)
+/* Partition text for the ids of points 0 .. n - 1 into out (room for cap
+ * bytes), the twin of ksetsplus.io._write_lines with "%s\t%s\n": line i is
+ * i, a tab, ids[i] and '\n'. A negative id is '-' and its magnitude negated
+ * as uint64_t, so INT64_MIN too. Returns the byte count, or -1, having
+ * filled out only in part, when the text does not fit in cap. */
+int64_t ksets_format(int64_t n, const int64_t *ids, char *out, int64_t cap)
 {
     int64_t size = 0;
-    for (int64_t r = 0; r < rows; r++) {
-        for (int64_t c = 0; c < cols; c++) {
-            int64_t v = table[r * cols + c];
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t cell[2] = {i, ids[i]};
+        for (int c = 0; c < 2; c++) {
+            int64_t v = cell[c];
             uint64_t magnitude = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
             int64_t width = (v < 0) + digit_count(magnitude);
             if (width + 1 > cap - size)
@@ -974,12 +973,7 @@ int64_t ksets_format(int64_t rows, int64_t cols, const int64_t *table,
             else
                 p[-1] = (char)('0' + magnitude);
             size += width;
-            out[size++] = c + 1 < cols ? (char)sep : '\n';
-        }
-        if (cols == 0) {
-            if (size == cap)
-                return -1;
-            out[size++] = '\n';
+            out[size++] = c ? '\n' : '\t';
         }
     }
     return size;

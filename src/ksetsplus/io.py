@@ -173,21 +173,21 @@ def _write_lines(fh, line: str, *columns) -> None:
     fh.write((line * count) % tuple(flat))
 
 
-def _format_ints(sep: str, table) -> str | None:
-    """What _write_lines writes for a line of "%s" cells joined by sep, one
-    line per row of the 2-D integer table, formatted by ksets_format; None
-    when no kernel can be built. Each cell takes at most the digits of the
-    table's widest extreme and one separator or newline."""
+def _format_partition(ids) -> str | None:
+    """What _write_lines writes for "%s\t%s\n" over range(len(ids)) and the
+    integer ids, formatted by ksets_format; None when no kernel can be
+    built. A line takes at most the digits of n - 1, those of the widest id
+    extreme, a tab and a newline."""
     from ._kernel import load
 
     library = load()
     if library is None:
         return None
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    rows, cols = table.shape
-    digits = max(len(str(table.min())), len(str(table.max()))) if table.size else 0
-    out = np.empty(rows * max(cols * (digits + 1), 1), dtype=np.uint8)
-    size = library.ksets_format(rows, cols, table, ord(sep), out, out.size)
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    n = len(ids)
+    digits = max(len(str(ids.min())), len(str(ids.max())))
+    out = np.empty(n * (len(str(n - 1)) + digits + 2), dtype=np.uint8)
+    size = library.ksets_format(n, ids, out, out.size)
     assert size >= 0, "ksets_format overran its bound"
     return out[:size].tobytes().decode("ascii")
 
@@ -270,7 +270,7 @@ def write_partition_tsv(path, dataset: DataSet, assign):
     )
     text = None
     if ints and dataset.labels is None:
-        text = _format_ints("\t", np.column_stack((np.arange(n), assign)))
+        text = _format_partition(assign)
     with open(path, "w", encoding="utf-8") as fh:
         if text is not None:
             fh.write(text)

@@ -40,33 +40,29 @@ C3_TOL = 1e-9
 C2_TOL_SCALE = 1e-9
 
 
-class SemiCohesionMeasure:
-    """A measure validated against (C1)-(C3), plus the shift that made it.
+class SemiCohesionMeasure(SparseSymmetricMeasure):
+    """A measure of kind "cohesion" validated against (C1)-(C3), plus the
+    shift that made it. It shares g's checked arrays.
 
     ``sigma_used`` is the shift of a lifted similarity, whose (C3)
     failure is SigmaTooSmall, and None for any other measure.
     """
 
-    def __init__(
-        self, underlying: SparseSymmetricMeasure, sigma_used: float | None = None
-    ):
-        self.underlying = underlying
+    __slots__ = ("sigma_used",)
+
+    def __init__(self, g: SparseSymmetricMeasure, sigma_used: float | None = None):
+        super().__init__(g.n, "cohesion", g.indptr, g.indices, g.data)
         self.sigma_used = sigma_used
         self.validate()
 
-    @property
-    def n(self) -> int:
-        return self.underlying.n
-
     def validate(self):
-        g = self.underlying
         # A lift at sigma_min can be zero but for rounding, so its scale
         # includes the shift that built it.
-        tol = C2_TOL_SCALE * g.n * max(g.max_abs(), abs(self.sigma_used or 0.0))
-        worst = float(np.abs(g.row_sums()).max())
+        tol = C2_TOL_SCALE * self.n * max(self.max_abs(), abs(self.sigma_used or 0.0))
+        worst = float(np.abs(self.row_sums()).max())
         if worst > tol:
             raise NotACohesion(f"row sums reach {worst:.3g}, beyond tolerance {tol:.3g}")
-        worst, x, y = _dominance_minimum(g)
+        worst, x, y = _dominance_minimum(self)
         if worst < -C3_TOL:
             where = f"diagonal dominance fails at ({x}, {y}) by {-worst:.3g}"
             if self.sigma_used is None:
@@ -131,13 +127,10 @@ def induced_cohesion(d: SparseSymmetricMeasure) -> SemiCohesionMeasure:
     row_avg = dense.mean(axis=1)
     grand_avg = row_avg.mean()
     gamma = row_avg[:, None] + row_avg[None, :] - grand_avg - dense
-    out = _from_dense_unchecked(gamma, "cohesion")
-    return SemiCohesionMeasure(out, sigma_used=None)
+    return SemiCohesionMeasure(_from_dense_unchecked(gamma, "cohesion"))
 
 
-def dual_distance(
-    g: SemiCohesionMeasure | SparseSymmetricMeasure,
-) -> SparseSymmetricMeasure:
+def dual_distance(g: SparseSymmetricMeasure) -> SparseSymmetricMeasure:
     """Semi-metric dual of a semi-cohesion measure.
 
     d(x, y) = (gamma(x, x) + gamma(y, y)) / 2 - gamma(x, y). Diagonal
@@ -145,8 +138,8 @@ def dual_distance(
     is clamped to zero so the output stores a valid distance.
     """
     g = _as_cohesion(g)
-    dense = g.underlying.to_dense()
-    diag = g.underlying.diag
+    dense = g.to_dense()
+    diag = g.diag
     d = (diag[:, None] + diag[None, :]) / 2.0 - dense
     np.fill_diagonal(d, 0.0)
     d[(d < 0.0) & (d > -C3_TOL)] = 0.0
@@ -228,7 +221,7 @@ def check_shift_lemma(
     tol: float = 1e-9,
 ) -> ShiftReport:
     """Probe random (point, set) pairs for the exact shift relations."""
-    lifted = lift_similarity(g, sigma).underlying
+    lifted = lift_similarity(g, sigma)
     rng = np.random.default_rng(rng_seed)
     n = g.n
     report = ShiftReport(sigma=float(sigma), samples=samples)

@@ -90,11 +90,11 @@ def is_cluster(g, s) -> ClusterReport:
     assign = np.ones(n, dtype=np.int64)
     assign[members] = 0
     partition = Partition.from_assign(assign)
-    gamma, dual = _block_sums(g.underlying, partition, "cohesion")
+    gamma, dual = _block_sums(g, partition, "cohesion")
 
     slacks: dict[str, float | None] = dict.fromkeys(STATEMENTS)
     slacks["i"] = float(gamma[0, 0])
-    scales = dict.fromkeys(STATEMENTS, float(np.abs(g.underlying.data).sum()))
+    scales = dict.fromkeys(STATEMENTS, float(np.abs(g.data).sum()))
     if outside:
         slacks["ii"] = float(gamma[1, 1])
         slacks["iii"] = float(-gamma[0, 1])
@@ -141,8 +141,8 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     - dbar(S_j, S_j) under the dual semi-metric; a converged engine
     partition on a semi-cohesion measure never goes negative.
 
-    g is checked on its stored entries. A SemiCohesionMeasure or a
-    "cohesion" (validated first) is checked through its dual, and a
+    g is checked on its stored entries. A "cohesion" (validated first,
+    unless it is a SemiCohesionMeasure) is checked through its dual, and a
     "distance" is its own dual (an unstored pair is distance 0). A
     "similarity" is checked as its lift by sigma = sigma_min(g), unbuilt:
     lifting adds sigma to every off-diagonal dual distance, which adds
@@ -152,15 +152,14 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
     check costs O(m + Kn + n log n), the n log n for the validation of a
     cohesion or the shift of a similarity.
     """
-    kind = g.kind if isinstance(g, SparseSymmetricMeasure) else "cohesion"
-    measure, sigma_used = g, None
+    kind, sigma_used = g.kind, None
     if kind == "similarity":
         sigma_used = sigma_min(g)
     elif kind == "cohesion":
-        cohesion = _as_cohesion(g)
-        measure, sigma_used = cohesion.underlying, cohesion.sigma_used
-    _check_covers(partition, measure.n)
-    _, dual = _block_sums(measure, partition, kind)
+        g = _as_cohesion(g)
+        sigma_used = g.sigma_used
+    _check_covers(partition, g.n)
+    _, dual = _block_sums(g, partition, kind)
     sizes = partition.sizes.astype(float)
     # Every step is symmetric bit for bit, so argmin names the pair a < b.
     dbar = dual / np.outer(sizes, sizes)

@@ -75,6 +75,12 @@ def random_cohesion(rng, n: int, vmax: float = 10.0):
     return induced_cohesion(random_semimetric(rng, n, vmax))
 
 
+def raw_cohesion(c: SparseSymmetricMeasure) -> SparseSymmetricMeasure:
+    """c's stored entries as a plain measure of kind "cohesion", which a
+    caller validates as a semi-cohesion measure itself."""
+    return SparseSymmetricMeasure(c.n, "cohesion", c.indptr, c.indices, c.data)
+
+
 def random_similarity_dense(
     rng,
     n: int,

@@ -78,7 +78,7 @@ def test_c02_duality_round_trips():
         worst_g = max(
             worst_g,
             np.abs(
-                back_g.underlying.to_dense() - g.underlying.to_dense()
+                back_g.to_dense() - g.to_dense()
             ).max(),
         )
     assert worst_d <= 1e-9, worst_d
@@ -123,7 +123,7 @@ def test_c04_shift_exactness_and_engine_equivalence():
     for trial in range(50):
         n = int(rng.integers(8, 30))
         g = random_similarity_dense(rng, n, density=0.6)
-        lifted = lift_similarity(g, sigma_min(g)).underlying
+        lifted = lift_similarity(g, sigma_min(g))
         k = int(rng.integers(2, 5))
         init = random_partition(rng, n, k)
         cfg = RunConfig(k=k, seed=trial, init_partition=init)
@@ -187,7 +187,7 @@ def test_c07_pairwise_isolation_guarantee():
         n = int(rng.integers(8, 41))
         g = induced_cohesion(random_semimetric(rng, n))
         k = int(rng.integers(2, 7))
-        result = run(g.underlying, RunConfig(k=k, seed=seed))
+        result = run(g, RunConfig(k=k, seed=seed))
         assert result.converged
         report = pairwise_isolation_check(g, result.partition)
         assert report.min_slack >= -1e-9, (seed, report.min_slack)
@@ -244,7 +244,7 @@ def test_c09_toy_scale_global_optimum_rate():
         rng = np.random.default_rng(90_000 + seed)
         n = int(rng.integers(4, 11))
         if seed % 2 == 0:
-            g = induced_cohesion(random_semimetric(rng, n)).underlying
+            g = induced_cohesion(random_semimetric(rng, n))
         else:
             g = random_similarity_dense(
                 rng, n, density=float(rng.uniform(0.5, 1.0))
@@ -321,7 +321,7 @@ def test_c12_semi_metric_latency_fixture():
     assert latency.value(0, 2) == 400.0
     assert latency.value(0, 1) + latency.value(1, 2) < latency.value(0, 2)
     cohesion = induced_cohesion(latency)
-    result = run(cohesion.underlying, RunConfig(k=3, seed=0, restarts=5))
+    result = run(cohesion, RunConfig(k=3, seed=0, restarts=5))
     assert result.converged
     report = pairwise_isolation_check(cohesion, result.partition)
     assert report.min_slack >= -1e-9, report.min_slack

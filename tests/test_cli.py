@@ -42,7 +42,7 @@ class TestClusterCommand:
         )
         assert code == 0
         sidecar = json.loads(Path(str(out) + ".json").read_text())
-        cohesion = induced_cohesion(triangle_violating_semimetric()).underlying
+        cohesion = induced_cohesion(triangle_violating_semimetric())
         best = max(
             brute_objective(cohesion, assign)
             for assign in all_two_partition_assigns(3)
@@ -432,6 +432,17 @@ class TestOtherCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "c\tp\tmean_accuracy\tci95_halfwidth\tgraphs"
         assert len(lines) == 3
+
+    def test_sweep_to_stdout(self, tmp_path, capsys):
+        args = ["sweep", "--n", "60", "--c-list", "8", "--p-grid", "0.1",
+                "--graphs", "1", "--seed", "1", "--output"]
+        out = tmp_path / "sweep.tsv"
+        assert main([*args, str(out)]) == 0
+        capsys.readouterr()
+        assert main([*args, "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        assert captured.out.startswith("c\tp\tmean_accuracy\tci95_halfwidth\tgraphs\n")
 
     def test_default_range_grid_includes_its_stop(self):
         spec = build_parser().parse_args(["sweep"]).p_grid

@@ -19,15 +19,15 @@ from conftest import nonempty_subsets, random_semimetric
 class TestDelta:
     def test_fixture_far_pair_is_negative(self, semimetric3, cohesion3):
         assert delta_triangular(semimetric3, 0, [1, 2]) == -1.0
-        assert delta(cohesion3.underlying, 0, [1, 2]) == pytest.approx(
+        assert delta(cohesion3, 0, [1, 2]) == pytest.approx(
             -1.0, abs=1e-12
         )
 
     def test_own_singleton_is_zero(self, cohesion3):
-        assert delta(cohesion3.underlying, 0, [0]) == pytest.approx(0.0, abs=1e-12)
+        assert delta(cohesion3, 0, [0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_fixture_member_value(self, cohesion3):
-        assert delta(cohesion3.underlying, 1, [1, 2]) == pytest.approx(
+        assert delta(cohesion3, 1, [1, 2]) == pytest.approx(
             3.0, abs=1e-12
         )
 
@@ -48,7 +48,7 @@ class TestDelta:
         rng = np.random.default_rng(seed)
         n = 6
         d = random_semimetric(rng, n)
-        cohesion = induced_cohesion(d).underlying
+        cohesion = induced_cohesion(d)
         for subset in nonempty_subsets(n):
             for x in range(n):
                 via_pairs = delta_triangular(d, x, subset)
@@ -58,15 +58,15 @@ class TestDelta:
 
 class TestAdjustedDelta:
     def test_outside_rescale(self, cohesion3):
-        assert adjusted_delta(cohesion3.underlying, 0, [1, 2]) == pytest.approx(
+        assert adjusted_delta(cohesion3, 0, [1, 2]) == pytest.approx(
             -2 / 3, abs=1e-12
         )
 
     def test_own_singleton_is_minus_inf(self, cohesion3):
-        assert adjusted_delta(cohesion3.underlying, 0, [0]) == -math.inf
+        assert adjusted_delta(cohesion3, 0, [0]) == -math.inf
 
     def test_inside_rescale(self, cohesion3):
-        assert adjusted_delta(cohesion3.underlying, 1, [1, 2]) == pytest.approx(
+        assert adjusted_delta(cohesion3, 1, [1, 2]) == pytest.approx(
             6.0, abs=1e-12
         )
 

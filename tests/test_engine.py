@@ -57,7 +57,7 @@ class TestInitState:
 
     def test_fixture_partition_objective(self, cohesion3):
         state = init_state(
-            cohesion3.underlying, Partition.from_assign([0, 1, 1], k=2)
+            cohesion3, Partition.from_assign([0, 1, 1], k=2)
         )
         assert state.objective == pytest.approx(-2 / 3, abs=1e-12)
 
@@ -69,19 +69,19 @@ class TestInitState:
 
     def test_rejects_wrong_size_partition(self, cohesion3):
         with pytest.raises(ArityMismatch, match="covers 2 points"):
-            init_state(cohesion3.underlying, Partition.from_assign([0, 1], k=2))
+            init_state(cohesion3, Partition.from_assign([0, 1], k=2))
 
 
 class TestFastAdjustedDelta:
     def test_own_singleton(self, cohesion3):
         state = init_state(
-            cohesion3.underlying, Partition.from_assign([0, 1, 1], k=2)
+            cohesion3, Partition.from_assign([0, 1, 1], k=2)
         )
         assert fast_adjusted_delta(state, 0, 0) == -math.inf
 
     def test_fixture_outside_value(self, cohesion3):
         state = init_state(
-            cohesion3.underlying, Partition.from_assign([0, 1, 1], k=2)
+            cohesion3, Partition.from_assign([0, 1, 1], k=2)
         )
         assert fast_adjusted_delta(state, 0, 1) == pytest.approx(-2 / 3, abs=1e-12)
 
@@ -108,14 +108,14 @@ class TestFastAdjustedDelta:
 class TestReassignPoint:
     def test_would_empty_set(self, cohesion3):
         state = init_state(
-            cohesion3.underlying, Partition.from_assign([0, 1, 1], k=2)
+            cohesion3, Partition.from_assign([0, 1, 1], k=2)
         )
         with pytest.raises(WouldEmptySet):
             reassign_point(state, 0, 1)
 
     def test_same_set_rejected(self, cohesion3):
         state = init_state(
-            cohesion3.underlying, Partition.from_assign([0, 1, 1], k=2)
+            cohesion3, Partition.from_assign([0, 1, 1], k=2)
         )
         with pytest.raises(KsetsError):
             reassign_point(state, 1, 1)
@@ -323,7 +323,7 @@ class TestRun:
     def test_given_initial_partition(self, cohesion3):
         part = Partition.from_assign([0, 1, 1], k=2)
         result = run(
-            cohesion3.underlying, RunConfig(k=2, seed=0, init_partition=part)
+            cohesion3, RunConfig(k=2, seed=0, init_partition=part)
         )
         assert result.objective == pytest.approx(13 / 3, abs=1e-9)
 
@@ -383,7 +383,7 @@ class TestRun:
     @pytest.mark.parametrize("assign", [[0, 1], [0, 1, 1, 0]])
     def test_objective_rejects_wrong_size_partition(self, cohesion3, assign):
         with pytest.raises(ArityMismatch, match=f"covers {len(assign)} points"):
-            objective_value(cohesion3.underlying, Partition.from_assign(assign, k=2))
+            objective_value(cohesion3, Partition.from_assign(assign, k=2))
 
     def test_objective_matches_reference_sum(self):
         rng = np.random.default_rng(50)
@@ -403,7 +403,7 @@ class TestShiftInvariance:
         rng = np.random.default_rng(seed + 300)
         n = int(rng.integers(8, 25))
         g = random_similarity_dense(rng, n, density=0.6)
-        lifted = lift_similarity(g, sigma_min(g)).underlying
+        lifted = lift_similarity(g, sigma_min(g))
         start = random_partition(rng, n, 3)
         state_raw = init_state(g, start)
         state_lift = init_state(lifted, start)
@@ -440,6 +440,13 @@ class TestRandomBalancedPartition:
         a = random_balanced_partition(20, 4, seed=5)
         b = random_balanced_partition(20, 4, seed=5)
         assert a.assign.tolist() == b.assign.tolist()
+
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_k_outside_two_to_n_rejected(self, k):
+        with pytest.raises(KOutOfRange) as info:
+            random_balanced_partition(5, k, seed=0)
+        assert type(info.value) is KOutOfRange
+        assert str(info.value) == f"k={k} outside [2, 5]"
 
     def test_every_set_nonempty_when_k_equals_n(self):
         part = random_balanced_partition(5, 5, seed=1)

@@ -447,6 +447,14 @@ class TestEdgeAccuracy:
         with pytest.raises(ArityMismatch):
             edge_accuracy(graph, part)
 
+    def test_unknown_reference_rejected(self):
+        graph = sbm_generate(SbmParams(n=100, c=6.0, diff=5.0, p=0.0, seed=1))
+        part = Partition.from_assign(list(graph.block), k=2)
+        with pytest.raises(ValueError) as info:
+            edge_accuracy(graph, part, reference="sign")
+        assert type(info.value) is ValueError
+        assert str(info.value) == "unknown reference 'sign'"
+
     def test_graph_without_edges_is_perfect(self):
         none = np.zeros(0, dtype=np.int64)
         signs = np.zeros(0, dtype=np.int8)
@@ -502,6 +510,12 @@ class TestAccuracySweep:
     def test_no_graphs_per_point_rejected(self):
         with pytest.raises(KOutOfRange):
             accuracy_sweep(n=120, c_list=[8.0], p_grid=[0.1], graphs_per_point=0, seed=5)
+
+    def test_one_graph_per_point_has_zero_half_width(self):
+        rows = accuracy_sweep(
+            n=60, c_list=[8.0], p_grid=[0.0, 0.2], graphs_per_point=1, seed=2
+        )
+        assert [(r.ci95_halfwidth, r.graphs) for r in rows] == [(0.0, 1), (0.0, 1)]
 
     def test_noiseless_small_instance_is_nearly_perfect(self):
         rows = accuracy_sweep(

@@ -784,6 +784,16 @@ class TestParseErrorLine:
             loader(path, **options)
         assert str(info.value) == f"{path}:{line}: {error}"
 
+    @pytest.mark.parametrize(
+        "message",
+        ["no row named", "the number of columns changed at row 3"],
+        ids=["no-row-in-message", "row-past-the-end"],
+    )
+    def test_message_without_a_file_line_names_the_path(self, tmp_path, message):
+        path = tmp_path / "edges.txt"
+        path.write_text("# header\n0 1 0.5\n1 2 0.5\n")
+        assert kio._locate(path, message, kio._is_edge_row, 0) == f"{path}: {message}"
+
 
 class TestGeoCsv:
     def test_with_header(self, tmp_path):
@@ -821,6 +831,14 @@ class TestGeoCsv:
             load_geo_csv(path)
         assert type(info.value) is error
         assert str(info.value) == f"{path}:4: {message}"
+
+    def test_header_only_file_has_no_points(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("label,lat,lon\n\n")
+        with pytest.raises(ValueError) as info:
+            load_geo_csv(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{path}: no points"
 
     def test_label_with_a_line_break_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"
@@ -1003,51 +1021,50 @@ cells = st.one_of(st.sampled_from(WIDTHS), st.integers(INT64_MIN, INT64_MAX))
 
 
 @st.composite
-def int_tables(draw):
-    rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 6))]))
-    cols = draw(st.integers(1, 4))
-    values = draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))
-    return np.array(values, dtype=np.int64).reshape(rows, cols)
+def id_arrays(draw):
+    """Ids for 1 to 1001 points, so that the line index takes one to four
+    digits, the ids cycling through a few drawn values."""
+    n = draw(st.sampled_from([1, 10, 11, 100, 101, 1000, 1001]) | st.integers(1, 12))
+    values = draw(st.lists(cells, min_size=1, max_size=8))
+    return np.resize(np.array(values, dtype=np.int64), n)
 
 
-def percent_format(sep: str, table: np.ndarray) -> str:
-    """_write_lines's text for the table, one "%s" per cell."""
+def percent_format(ids: np.ndarray) -> str:
+    """_write_lines's text for the ids: one "%s\t%s\n" line per point."""
     fh = io.StringIO()
-    kio._write_lines(fh, sep.join(["%s"] * table.shape[1]) + "\n", *table.T.tolist())
+    kio._write_lines(fh, "%s\t%s\n", range(len(ids)), ids.tolist())
     return fh.getvalue()
 
 
 class TestFormatInts:
-    """ksets_format writes _write_lines's bytes for an int64 table."""
+    """ksets_format writes _write_lines's bytes for an int64 id array."""
 
     @needs_cc
-    @given(int_tables(), st.sampled_from([" ", "\t", ","]))
+    @given(id_arrays())
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_percent_format(self, table, sep):
-        assert kio._format_ints(sep, table) == percent_format(sep, table)
+    def test_matches_the_percent_format(self, ids):
+        assert kio._format_partition(ids) == percent_format(ids)
 
     @needs_cc
     @pytest.mark.parametrize(
-        "table, text",
+        "ids, text",
         [
-            (np.zeros((0, 3), np.int64), ""),
-            (np.zeros((2, 0), np.int64), "\n\n"),  # " ".join([]) + "\n" per row
-            (np.array([[INT64_MIN, INT64_MAX]]), f"{INT64_MIN} {INT64_MAX}\n"),
+            (np.zeros(0, np.int64), ""),
+            (np.array([-7]), "0\t-7\n"),
+            (np.array([INT64_MIN, INT64_MAX]), f"0\t{INT64_MIN}\n1\t{INT64_MAX}\n"),
         ],
-        ids=["no-rows", "no-cols", "extremes"],
+        ids=["no-points", "one-point", "extremes"],
     )
     def test_routine_returns_its_byte_count_and_declines_a_short_buffer(
-        self, table, text
+        self, ids, text
     ):
         library = _kernel.load()
-        rows, cols = table.shape
         out = np.zeros(len(text) + 4, dtype=np.uint8)
-        args = rows, cols, table, ord(" "), out
-        size = library.ksets_format(*args, len(text))
+        size = library.ksets_format(len(ids), ids, out, len(text))
         assert size == len(text) and out[:size].tobytes() == text.encode()
         assert not out[size:].any()
         if text:
-            assert library.ksets_format(*args, len(text) - 1) == -1
+            assert library.ksets_format(len(ids), ids, out, len(text) - 1) == -1
 
     def test_without_a_kernel_nothing_is_formatted(self, no_kernel):
-        assert kio._format_ints(" ", np.zeros((2, 2), np.int64)) is None
+        assert kio._format_partition(np.zeros(2, np.int64)) is None

@@ -357,6 +357,21 @@ class TestMeasureOfSets:
 
 
 class TestStorageInvariants:
+    @pytest.mark.parametrize(
+        "n, kind, indptr, error, message",
+        [
+            (0, "similarity", [0], ArityMismatch, "a measure needs at least one point"),
+            (1, "weight", [0, 0], ValueError, "unknown measure kind 'weight'"),
+            (2, "similarity", [0, 0], ArityMismatch, "1 rows for n=2"),
+        ],
+        ids=["no-points", "unknown-kind", "short-indptr"],
+    )
+    def test_constructor_rejects_bad_arguments(self, n, kind, indptr, error, message):
+        with pytest.raises(error) as info:
+            SparseSymmetricMeasure(n, kind, indptr, [], [])
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_full_scan_and_m_recount(self, seed):
         rng = np.random.default_rng(seed)
@@ -383,8 +398,8 @@ class TestStorageInvariants:
             "triples": semimetric3,
             "from_dense": from_dense(dense),
             "symmetrize": symmetrize(rng.uniform(-1, 1, size=(5, 5))),
-            "induced_cohesion": induced_cohesion(semimetric3).underlying,
-            "lift_similarity": lift_similarity(from_dense(dense), 10.0).underlying,
+            "induced_cohesion": induced_cohesion(semimetric3),
+            "lift_similarity": lift_similarity(from_dense(dense), 10.0),
             "haversine_matrix": haversine_matrix([(0, 0), (1, 2), (-3, 4)]),
             "random_sparse": random_sparse_similarity(30, 4, 1, diagonal_fraction=0.3),
             "similarity_from_signed": similarity_from_signed(graph),
@@ -1011,6 +1026,18 @@ class TestPartition:
         p = Partition.from_sets([[2, 0], [1]])
         assert p.assign.tolist() == [0, 1, 0]
 
+    def test_two_dimensional_assignment_rejected(self):
+        with pytest.raises(ArityMismatch) as info:
+            Partition([[0, 1], [1, 0]], 2)
+        assert type(info.value) is ArityMismatch
+        assert str(info.value) == "expected a 1-D assignment, got shape (2, 2)"
+
+    def test_from_sets_rejects_a_point_in_two_sets(self):
+        with pytest.raises(DuplicateEntry) as info:
+            Partition.from_sets([[0, 1], [1]])
+        assert type(info.value) is DuplicateEntry
+        assert str(info.value) == "point 1 assigned twice"
+
     def test_from_sets_must_cover(self):
         with pytest.raises(ArityMismatch):
             Partition.from_sets([[0], [2]], n=3)
@@ -1109,6 +1136,12 @@ class TestPartitionCounting:
 
 
 class TestDataSet:
+    def test_needs_a_point(self):
+        with pytest.raises(ArityMismatch) as info:
+            DataSet(0)
+        assert type(info.value) is ArityMismatch
+        assert str(info.value) == "a dataset needs at least one point"
+
     def test_labels_must_match_n(self):
         with pytest.raises(ArityMismatch):
             DataSet(2, labels=("a",))

@@ -143,7 +143,7 @@ def _case(name):
         return random_sparse_similarity(5000, 10, seed=seed), 5, seed
     if kind == "latency":
         latency, _ = load_dense_csv(FIXTURE, kind="distance", header=True)
-        return induced_cohesion(latency).underlying, 3, seed
+        return induced_cohesion(latency), 3, seed
     graph = sbm_generate(SbmParams(1000, 10, 5, 0.1, seed))
     return similarity_from_signed(graph), 2, seed
 

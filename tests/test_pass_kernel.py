@@ -51,7 +51,7 @@ def _measure(rng, n, family, density, diagonal):
         if diagonal:
             full[np.diag_indices(n)] = rng.integers(-2, 3, size=n)
         return from_dense(full)
-    return random_cohesion(rng, n).underlying
+    return random_cohesion(rng, n)
 
 
 FAMILIES = ["signed", "integer", "cohesion"]
@@ -148,7 +148,7 @@ def test_fallback_gives_the_same_run_and_one_warning(
         # Every kind's block sums come from the point-to-set table.
         reports = [
             pairwise_isolation_check(checked, run(clustered, config).partition)
-            for checked, clustered in [(g, g), (c, c.underlying), (d, d)]
+            for checked, clustered in [(g, g), (c, c), (d, d)]
         ]
         # The signed benchmark: its A + 0.5 A^2 build, run and report.
         graph = sbm_generate(SbmParams(n=200, c=8.0, diff=5.0, p=0.1, seed=3))

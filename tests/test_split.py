@@ -247,6 +247,13 @@ def test_parts_rule(monkeypatch):
     assert _kernel.parts(5) == 5
 
 
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_cpu_count_without_affinity(monkeypatch, count, cpus):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert _kernel._cpu_count() == cpus
+
+
 def test_one_cpu_gives_one_part(monkeypatch):
     monkeypatch.setattr(_kernel, "_cpu_count", lambda: 1)
     assert {_kernel.parts(w) for w in (0, 1, 10**6, 10**12, 2**62)} == {1}

@@ -39,7 +39,7 @@ from conftest import (
 
 class TestInducedCohesion:
     def test_fixture_values(self, cohesion3):
-        g = cohesion3.underlying
+        g = cohesion3
         assert g.value(0, 0) == pytest.approx(-4 / 9, abs=1e-12)
         assert g.value(1, 1) == pytest.approx(26 / 9, abs=1e-12)
         assert g.value(0, 1) == pytest.approx(2 / 9, abs=1e-12)
@@ -47,13 +47,13 @@ class TestInducedCohesion:
 
     def test_all_zero_distance(self):
         g = induced_cohesion(build_from_triples(2, [], kind="distance"))
-        assert g.underlying.m == 0
+        assert g.m == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_row_sums_vanish(self, seed):
         rng = np.random.default_rng(seed)
         g = induced_cohesion(random_semimetric(rng, 12))
-        assert np.abs(g.underlying.row_sums()).max() < 1e-10
+        assert np.abs(g.row_sums()).max() < 1e-10
 
     def test_rejects_negative_values(self):
         bad = build_from_triples(2, [(0, 1, -3.0)], kind="similarity")
@@ -72,9 +72,16 @@ class TestDualDistance:
         assert np.allclose(back.to_dense(), semimetric3.to_dense(), atol=1e-12)
 
     def test_fixture_pair_value(self, cohesion3):
-        g = cohesion3.underlying
+        g = cohesion3
         d = (g.value(0, 0) + g.value(1, 1)) / 2 - g.value(0, 1)
         assert d == pytest.approx(1.0, abs=1e-12)
+
+    def test_validated_cohesion_is_a_measure_on_its_input_arrays(self):
+        g = build_from_triples(2, [(0, 0, 1.0), (0, 1, -1.0), (1, 1, 1.0)])
+        c = SemiCohesionMeasure(g)
+        assert isinstance(c, SparseSymmetricMeasure) and c.kind == "cohesion"
+        assert c.indptr is g.indptr and c.indices is g.indices and c.data is g.data
+        assert c.diag.tolist() == [1.0, 1.0] and c.sigma_used is None
 
     def test_all_zero(self):
         zero = SemiCohesionMeasure(build_from_triples(2, [], kind="cohesion"))
@@ -98,7 +105,7 @@ class TestDualDistance:
         g = random_cohesion(rng, int(rng.integers(3, 20)))
         back = induced_cohesion(dual_distance(g))
         assert (
-            np.abs(back.underlying.to_dense() - g.underlying.to_dense()).max()
+            np.abs(back.to_dense() - g.to_dense()).max()
             <= 1e-9
         )
 
@@ -198,11 +205,11 @@ class TestLiftSimilarity:
         rng = np.random.default_rng(seed)
         g = random_similarity_dense(rng, 10, density=0.7)
         lifted = lift_similarity(g, sigma_min(g) + rng.uniform(0, 2))
-        assert np.abs(lifted.underlying.row_sums()).max() < 1e-10
+        assert np.abs(lifted.row_sums()).max() < 1e-10
 
     def test_all_zero_zero_sigma(self):
         lifted = lift_similarity(build_from_triples(2, []), 0.0)
-        assert lifted.underlying.m == 0
+        assert lifted.m == 0
         assert lifted.sigma_used == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
@@ -211,7 +218,7 @@ class TestLiftSimilarity:
         n = 9
         g = random_similarity_dense(rng, n, density=0.8)
         sigma = sigma_min(g) + 0.5
-        lifted = lift_similarity(g, sigma).underlying
+        lifted = lift_similarity(g, sigma)
         dense = g.to_dense()
         row = dense.sum(axis=1)
         total = dense.sum()
@@ -230,7 +237,7 @@ class TestLiftSimilarity:
         g = build_from_triples(2, [(0, 0, 0.3), (0, 1, 0.7), (1, 1, 0.1)])
         lifted = lift_similarity(g, sigma_min(g))
         assert lifted.sigma_used == sigma_min(g)
-        assert lifted.underlying.max_abs() < 1e-15
+        assert lifted.max_abs() < 1e-15
 
     def test_sigma_too_small(self):
         rng = np.random.default_rng(2)
@@ -244,7 +251,7 @@ class TestLiftSimilarity:
         n = 11
         g = random_similarity_dense(rng, n, density=0.6)
         sigma = sigma_min(g) + 0.25
-        lifted = lift_similarity(g, sigma).underlying
+        lifted = lift_similarity(g, sigma)
         total = g.to_dense().sum()
         for k in (2, 3, 4):
             part = random_partition(rng, n, k)
@@ -368,7 +375,7 @@ class TestShiftCheck:
         # With a zero similarity and shift 5 on two points, the lifted
         # measure is +-2.5, so the set distances are known in closed form.
         g = build_from_triples(2, [])
-        lifted = lift_similarity(g, 5.0).underlying
+        lifted = lift_similarity(g, 5.0)
         outside = delta(lifted, 0, [1])
         assert outside == pytest.approx(5.0 * (1 + 1 / 1), abs=1e-12)
         inside = delta(lifted, 0, [0, 1])

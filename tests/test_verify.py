@@ -32,6 +32,7 @@ from conftest import (
     random_partition,
     random_semimetric,
     random_similarity_dense,
+    raw_cohesion,
 )
 
 
@@ -45,12 +46,10 @@ def sparse_semimetric(rng, n: int, density: float) -> SparseSymmetricMeasure:
 def dense_isolation_slack(g, partition: Partition) -> np.ndarray:
     """Slack matrix from the dense dual semi-metric and a one-hot matmul:
     the oracle for the check's sums over stored entries."""
-    if isinstance(g, SparseSymmetricMeasure) and g.kind == "distance":
+    if g.kind == "distance":
         dist = g.to_dense()
     else:
-        cohesion = g.underlying if isinstance(g, SemiCohesionMeasure) else g
-        diag = cohesion.diag
-        dist = (diag[:, None] + diag[None, :]) / 2.0 - cohesion.to_dense()
+        dist = (g.diag[:, None] + g.diag[None, :]) / 2.0 - g.to_dense()
     onehot = np.zeros((g.n, partition.k))
     onehot[np.arange(g.n), partition.assign] = 1.0
     sizes = np.asarray(partition.sizes, dtype=float)
@@ -66,8 +65,8 @@ def dense_is_cluster(g, s) -> ClusterReport:
     g = g if isinstance(g, SemiCohesionMeasure) else SemiCohesionMeasure(g)
     n = g.n
     members = sorted(set(int(p) for p in s))
-    dense = g.underlying.to_dense()
-    diag = g.underlying.diag
+    dense = g.to_dense()
+    diag = g.diag
     mask = np.zeros(n, dtype=bool)
     mask[members] = True
     inside = int(mask.sum())
@@ -210,9 +209,8 @@ class TestIsClusterMatchesDenseOracle:
         assert report.statements == oracle.statements
         # Slacks agree to 1e-12 of max(1, the oracle's scale): the sum of
         # |g| for (i)-(iv), the largest |dual distance| for (v)-(vi).
-        cohesion = g.underlying if isinstance(g, SemiCohesionMeasure) else g
-        dense = cohesion.to_dense()
-        dist = (cohesion.diag[:, None] + cohesion.diag[None, :]) / 2.0 - dense
+        dense = g.to_dense()
+        dist = (g.diag[:, None] + g.diag[None, :]) / 2.0 - dense
         for key in STATEMENTS:
             got, want = report.slacks[key], oracle.slacks[key]
             if want is None:
@@ -239,10 +237,10 @@ def test_checks_build_no_dense_copy(monkeypatch):
         raise AssertionError("dense copy in a check")
 
     monkeypatch.setattr(SparseSymmetricMeasure, "to_dense", forbidden)
-    for g in (induced, induced.underlying, lifted, lifted.underlying, laplacian):
+    for g in (induced, raw_cohesion(induced), lifted, raw_cohesion(lifted), laplacian):
         for members in ([0], [1, 4, 7], list(range(n))):
             is_cluster(g, members)
-    for g in (distance, similarity, induced, induced.underlying, lifted, laplacian):
+    for g in (distance, similarity, induced, raw_cohesion(induced), lifted, laplacian):
         pairwise_isolation_check(g, part)
 
 
@@ -253,7 +251,7 @@ class TestPairwiseIsolation:
         n = int(rng.integers(8, 30))
         g = random_cohesion(rng, n)
         k = int(rng.integers(2, 6))
-        result = run(g.underlying, RunConfig(k=k, seed=seed, restarts=2))
+        result = run(g, RunConfig(k=k, seed=seed, restarts=2))
         report = pairwise_isolation_check(g, result.partition)
         assert report.ok(1e-9), report.min_slack
 
@@ -314,7 +312,7 @@ class TestPairwiseIsolation:
         inputs = {
             "distance": distance,
             "similarity": random_similarity_dense(rng, n, density=0.5),
-            "cohesion": cohesion.underlying,
+            "cohesion": raw_cohesion(cohesion),
             "semi-cohesion": cohesion,
         }
         part = random_partition(rng, n, k)
@@ -343,7 +341,7 @@ class TestIsolationMatchesDenseOracle:
         inputs = {
             "distance": distance,
             "induced": induced_cohesion(distance),
-            "induced_underlying": induced_cohesion(random_semimetric(rng, n)).underlying,
+            "induced_raw": raw_cohesion(induced_cohesion(random_semimetric(rng, n))),
             "lifted": lift_similarity(similarity, sigma_min(similarity) + 0.5),
         }
         part = random_partition(rng, n, k)
@@ -402,7 +400,7 @@ class TestRunOnDistances:
             d = sparse_semimetric(rng, n, density=0.5)
         config = RunConfig(k=k, seed=seed, restarts=3)
         direct = run(d, config)
-        induced = run(induced_cohesion(d).underlying, config)
+        induced = run(induced_cohesion(d), config)
         # Restarts that tie to an ulp may pick different partitions, so
         # the objectives and the isolation guarantee are compared.
         assert direct.objective == pytest.approx(induced.objective, rel=1e-9, abs=1e-9)
