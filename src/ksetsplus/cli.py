@@ -259,6 +259,7 @@ def _float_list(spec: str) -> list[float]:
     return [float(s) for s in spec.split(",")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksetsplus",
@@ -272,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=kinds, default=kinds[0])
         p.add_argument("--header", action="store_true", help="dense CSV has a label header row")
         p.add_argument("--n", type=int, default=None, help="point count override for edge lists")
+        p.add_argument("--symmetrize", action="store_true", help="average a dense asymmetric matrix with its transpose")
 
     def add_run_args(p):
         p.add_argument("--k", type=int, required=True, help="number of sets")
@@ -281,16 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="partition a measure file")
     add_measure_args(p, ["similarity", "distance"])
-    p.add_argument("--symmetrize", action="store_true", help="average a dense asymmetric matrix with its transpose")
     add_run_args(p)
     p.add_argument("--output", required=True, help="partition TSV; a .json sidecar is written next to it")
-    p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("verify", help="check pairwise isolation of a partition")
     add_measure_args(p, ["similarity", "distance", "cohesion"])
-    p.add_argument("--symmetrize", action="store_true", help="average a dense asymmetric matrix with its transpose")
     p.add_argument("--partition", required=True, help="partition TSV to verify")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="linear-scaling timing table")
     p.add_argument("--n-list", type=_int_list, default=[10000, 20000], dest="n_list")
@@ -298,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-passes", type=int, default=100, dest="max_passes")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sbm", help="one signed two-block benchmark run")
     p.add_argument("--n", type=int, default=1000)
@@ -311,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-passes", type=int, default=100, dest="max_passes")
     p.add_argument("--reference", choices=["truth", "observed"], default="truth")
     p.add_argument("--out-graph", default=None, dest="out_graph")
-    p.set_defaults(func=cmd_sbm)
 
     p = sub.add_parser("sweep", help="edge-accuracy table over (c, p) cells")
     p.add_argument("--n", type=int, default=1000)
@@ -323,13 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--reference", choices=["truth", "observed"], default="truth")
     p.add_argument("--output", default="-", help="TSV path or - for stdout")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("geo", help="cluster labeled lat/lon points")
     p.add_argument("--points", required=True, help="CSV of label,lat,lon")
     add_run_args(p)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_geo)
 
     return parser
 
@@ -346,7 +340,8 @@ def main(argv=None) -> int:
             parser.error(f"--{flag} applies to --format dense only")
     _fix_mmap_threshold()
     try:
-        return args.func(args)
+        # Found by name at each call, so a replaced cmd_* is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (KOutOfRange, InvalidProbability) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM

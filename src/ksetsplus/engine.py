@@ -162,21 +162,24 @@ def _set_self_sums(table: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(assign, weights=own, minlength=k)
 
 
+def _adjusted(own: float, cell: float, size: int, gbar: float, inside: bool) -> float:
+    """Adjusted triangular distance of a point to a set from its cached
+    terms gamma(x, x), gamma(x, S), |S| and gbar(S); -inf for a point
+    alone in its own set."""
+    if inside and size == 1:
+        return NEG_INF
+    scale = size / (size - 1.0) if inside else size / (size + 1.0)
+    return scale * (own - 2.0 * cell / size + gbar)
+
+
 def fast_adjusted_delta(state: EngineState, x: int, k: int) -> float:
     """O(1) adjusted triangular distance from the cached tables."""
     _check_index(x, state.measure.n)
     _check_index(k, state.k)
-    size = int(state.sizes[k])
-    base = (
-        float(state.measure.diag[x])
-        - 2.0 * state.point_to_set.item(x, k) / size
-        + float(state.gbar[k])
+    return _adjusted(
+        float(state.measure.diag[x]), state.point_to_set.item(x, k),
+        int(state.sizes[k]), float(state.gbar[k]), state.assign[x] == k,
     )
-    if state.assign[x] == k:
-        if size == 1:
-            return NEG_INF
-        return size / (size - 1.0) * base
-    return size / (size + 1.0) * base
 
 
 def _apply_move(state: EngineState, assign, sizes, gbar, x: int, src: int, dst: int):
@@ -284,17 +287,12 @@ def _run_pass_reference(state: EngineState) -> int:
         evaluations += k
         base = x * k
         own = diag[x]
-        best = (src_size / (src_size - 1.0)) * (
-            own - 2.0 * rows[base + src] / src_size + gbar[src]
-        )
+        best = _adjusted(own, rows[base + src], src_size, gbar[src], True)
         target = src
         for c in range(k):
             if c == src:
                 continue
-            size = sizes[c]
-            cand = (size / (size + 1.0)) * (
-                own - 2.0 * rows[base + c] / size + gbar[c]
-            )
+            cand = _adjusted(own, rows[base + c], sizes[c], gbar[c], False)
             if cand < best:
                 best = cand
                 target = c

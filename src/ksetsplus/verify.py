@@ -90,7 +90,7 @@ def is_cluster(g, s) -> ClusterReport:
     assign = np.ones(n, dtype=np.int64)
     assign[members] = 0
     partition = Partition.from_assign(assign)
-    gamma, dual = _block_sums(g, partition, "cohesion")
+    gamma, dual = _block_sums(g, partition)
 
     slacks: dict[str, float | None] = dict.fromkeys(STATEMENTS)
     slacks["i"] = float(gamma[0, 0])
@@ -113,7 +113,7 @@ def is_cluster(g, s) -> ClusterReport:
 
 
 def _block_sums(
-    measure: SparseSymmetricMeasure, partition: Partition, kind: str
+    measure: SparseSymmetricMeasure, partition: Partition
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block sums Gamma of measure over partition's sets, and B of its dual:
     Gamma for a "distance", else (D s^T + s D^T) / 2 - Gamma, where D holds
@@ -126,7 +126,7 @@ def _block_sums(
     # Blocks (a, b) and (b, a) add different cells; their mean, and every
     # step below, is symmetric bit for bit.
     gamma = (gamma + gamma.T) / 2.0
-    if kind == "distance":
+    if measure.kind == "distance":
         return gamma, gamma
     sizes = partition.sizes.astype(float)
     diag_sums = np.bincount(assign, weights=measure.diag, minlength=k)
@@ -159,7 +159,7 @@ def pairwise_isolation_check(g, partition: Partition) -> PairwiseReport:
         g = _as_cohesion(g)
         sigma_used = g.sigma_used
     _check_covers(partition, g.n)
-    _, dual = _block_sums(g, partition, kind)
+    _, dual = _block_sums(g, partition)
     sizes = partition.sizes.astype(float)
     # Every step is symmetric bit for bit, so argmin names the pair a < b.
     dbar = dual / np.outer(sizes, sizes)

@@ -643,3 +643,56 @@ def test_main_maps_every_large_array_on_its_own(tmp_path, edges3):
         run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
         mapped[mode] = int(run.stdout.split()[-1])
     assert mapped == {"plain": 0, "main": 1}
+
+
+def test_two_calls_build_the_parser_once(edges3, tmp_path):
+    build_parser.cache_clear()
+    out = tmp_path / "part.tsv"
+    assert main(["cluster", "--input", edges3, "--k", "2", "--output", str(out)]) == 0
+    assert main(["verify", "--input", edges3, "--partition", str(out)]) == 0
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
+
+
+def test_mmap_threshold_is_left_alone_without_mallopt(monkeypatch):
+    class NoMallopt:
+        pass
+
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        return NoMallopt()
+
+    cli._fix_mmap_threshold.cache_clear()
+    try:
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._fix_mmap_threshold() is None
+        assert opened == [None]
+    finally:
+        cli._fix_mmap_threshold.cache_clear()
+
+
+def _run_module(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "ksetsplus.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_help_lists_every_command():
+    run = _run_module("--help")
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.startswith("usage: ksetsplus ")
+    assert "{cluster,verify,bench,sbm,sweep,geo}" in run.stdout
+
+
+def test_module_sbm_prints_what_main_prints(capsys):
+    argv = ["sbm", "--n", "100", "--seed", "1"]
+    run = _run_module(*argv)
+    assert run.returncode == 0
+    assert main(argv) == 0
+    assert run.stdout == capsys.readouterr().out
+    assert json.loads(run.stdout)["n_surviving"] > 0

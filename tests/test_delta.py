@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -14,6 +15,9 @@ from ksetsplus.measure import build_from_triples, measure_of_sets
 from ksetsplus.transforms import induced_cohesion
 
 from conftest import nonempty_subsets, random_semimetric
+
+# The package exports the function delta under the module's name.
+delta_module = importlib.import_module("ksetsplus.delta")
 
 
 class TestDelta:
@@ -109,6 +113,28 @@ class TestNonnegativity:
         g = build_from_triples(2, [(0, 1, -1.0)])
         with pytest.raises(NotADistance):
             check_nonnegativity(g, [0, 1])
+
+    def test_sum_off_the_mean_distance_identity_is_a_value_error(
+        self, semimetric3, monkeypatch
+    ):
+        # Over {1, 2}, |S| times the mean within-set distance is 2 * 12 / 4.
+        monkeypatch.setattr(delta_module, "delta_triangular", lambda d, x, s: 1.0)
+        with pytest.raises(ValueError) as info:
+            check_nonnegativity(semimetric3, [1, 2])
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "sum of triangular distances 2.0 differs from "
+            "|S| * mean within-set distance 6.0"
+        )
+
+    def test_negative_sum_is_a_value_error(self, semimetric3, monkeypatch):
+        # Both sides of the identity agree, at -2.
+        monkeypatch.setattr(delta_module, "delta_triangular", lambda d, x, s: -1.0)
+        monkeypatch.setattr(delta_module, "measure_of_sets", lambda g, a, b: -4.0)
+        with pytest.raises(ValueError) as info:
+            check_nonnegativity(semimetric3, [1, 2])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "negative triangular-distance sum -2.0"
 
     def test_negative_value_possible_for_single_point(self, semimetric3):
         # The far pair pulls the point-to-set distance below zero even

@@ -1135,6 +1135,11 @@ class TestPartitionCounting:
             p.validate()
 
 
+def test_repr_names_size_kind_and_stored_entries():
+    g = build_from_triples(3, [(0, 0, 2.0), (0, 1, 1.0)])
+    assert repr(g) == "SparseSymmetricMeasure(n=3, kind='similarity', m=3)"
+
+
 class TestDataSet:
     def test_needs_a_point(self):
         with pytest.raises(ArityMismatch) as info:

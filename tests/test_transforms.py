@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksetsplus import transforms
 from ksetsplus.delta import delta
 from ksetsplus.errors import (
     NotACohesion,
@@ -380,3 +381,41 @@ class TestShiftCheck:
         assert outside == pytest.approx(5.0 * (1 + 1 / 1), abs=1e-12)
         inside = delta(lifted, 0, [0, 1])
         assert inside == pytest.approx(5.0 * (1 - 1 / 2), abs=1e-12)
+
+    def test_report_is_ok_within_its_tolerance(self):
+        g = build_from_triples(3, [(0, 1, 1.0), (1, 2, -2.0)])
+        report = check_shift_lemma(g, sigma_min(g) + 1.0, samples=20, rng_seed=3)
+        assert report.ok()
+        report.max_deviation = 2e-9
+        assert not report.ok()
+        assert report.ok(tol=1e-8)
+
+    def test_a_wrong_lift_is_recorded_as_failures(self, monkeypatch):
+        # The lift shifts by sigma + 1, so every probed relation is off.
+        lift = transforms.lift_similarity
+        monkeypatch.setattr(
+            transforms, "lift_similarity", lambda g, sigma: lift(g, sigma + 1.0)
+        )
+        g = build_from_triples(3, [(0, 1, 1.0), (1, 2, -2.0)])
+        report = check_shift_lemma(g, sigma_min(g) + 1.0, samples=30, rng_seed=3)
+        assert not report.ok()
+        probed = report.inside_cases + report.outside_cases
+        assert probed > 0 and len(report.failures) == probed
+        for kind, x, size, worst in report.failures:
+            assert kind in ("inside", "outside")
+            assert 0 <= x < 3 and 1 <= size <= 3
+            assert worst > 1e-9
+        kinds = [kind for kind, *_ in report.failures]
+        assert kinds.count("inside") == report.inside_cases
+        assert kinds.count("outside") == report.outside_cases
+        assert max(worst for *_, worst in report.failures) == report.max_deviation
+
+
+class TestRepr:
+    def test_validated_cohesion(self):
+        d = build_from_triples(3, [(0, 1, 1.0), (1, 2, 6.0)], kind="distance")
+        assert repr(induced_cohesion(d)) == "SemiCohesionMeasure(n=3, sigma_used=None)"
+
+    def test_lifted_similarity(self):
+        g = build_from_triples(2, [(0, 1, 1.0)])
+        assert repr(lift_similarity(g, 2.5)) == "SemiCohesionMeasure(n=2, sigma_used=2.5)"
