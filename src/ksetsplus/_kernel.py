@@ -1,12 +1,14 @@
 """Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The library holds eight routines: ``ksets_pass`` (one engine pass),
-``ksets_scatter`` (the point-to-set table, from which the engine and
-``verify`` derive every set sum), ``ksets_build`` (the CSR arrays of a
-measure from its (i, j, value) triples, written in place into the
-result's arrays, or the first bad index, repeated or conflicting pair),
-``ksets_dense`` (the CSR arrays of a dense matrix's nonzeros, or of those
-of its mean with its transpose), ``ksets_check`` (the measure
+The library holds nine routines: ``ksets_pass`` (one engine pass),
+``ksets_restarts`` (whole engine restarts: the tables, the passes until
+convergence or ``max_passes``, and the recomputed objective, one restart
+per thread), ``ksets_scatter`` (the point-to-set table, from which the
+engine and ``verify`` derive every set sum), ``ksets_build`` (the CSR
+arrays of a measure from its (i, j, value) triples, written in place into
+the result's arrays, or the first bad index, repeated or conflicting
+pair), ``ksets_dense`` (the CSR arrays of a dense matrix's nonzeros, or of
+those of its mean with its transpose), ``ksets_check`` (the measure
 constructor's checks of CSR arrays and its diagonal, in one scan),
 ``ksets_two_step`` (the CSR arrays of the signed benchmark's similarity
 A + 0.5 A^2 from its signed edges), ``ksets_read`` (an edge list or
@@ -16,7 +18,8 @@ partition writer's ``i<TAB>id`` lines).
 Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
 ``ksets_scatter``, split their rows across ``parts(work)`` threads inside
 the one C call, each part writing only its own rows, so every split gives
-the same bytes; one part starts no thread.
+the same bytes; one part starts no thread. ``ksets_restarts`` runs a batch
+of restarts, one per thread, each in its own rows of the caller's arrays.
 The library is compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -66,6 +69,13 @@ _ROUTINES = {
         [ctypes.c_int64, ctypes.c_int64, *_CSR, _F64]  # n, k, CSR, diag
         + [_I64_OUT, _I64_OUT, _F64_OUT, _F64_OUT]  # assign, sizes, gbar, rows
         + [_F64_OUT, _I64_OUT],  # objective, ops
+    ),
+    "ksets_restarts": (
+        None,
+        [ctypes.c_int64, ctypes.c_int64, *_CSR, _F64, ctypes.c_double]  # n, k, CSR, diag, sign
+        + [ctypes.c_int64] * 4  # count, parts, max_passes, cap
+        + [_I64_OUT, _I64_OUT, _I64_OUT, _F64_OUT, _F64_OUT]  # assign, best, sizes, gbar, rows
+        + [_I64_OUT, _F64_OUT, _I64_OUT, _F64_OUT],  # moves, history, stats, objective
     ),
     "ksets_scatter": (
         None,

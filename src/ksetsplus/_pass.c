@@ -1,6 +1,9 @@
-/* The eight compiled routines of ksetsplus: the K-sets+ kernels over a CSR
+/* The nine compiled routines of ksetsplus: the K-sets+ kernels over a CSR
  * measure, the twins of ksetsplus.engine._run_pass_reference and
- * _point_to_set_reference; the CSR builds ksets_build, the twin of
+ * _point_to_set_reference, and ksets_restarts, the twin of
+ * ksetsplus.engine._restarts_reference, which runs whole restarts (the
+ * tables, the passes and the recomputed objective) in caller arrays; the
+ * CSR builds ksets_build, the twin of
  * ksetsplus.measure._build_from_triples_reference, which works in the
  * result's own arrays and allocates nothing, and ksets_dense, the twin of
  * ksetsplus.measure._from_dense_reference; the measure constructor's checks
@@ -24,9 +27,12 @@
  * Each part runs the routine's one row-range body on its own rows and
  * writes only its own rows of the output, so the result is the same bytes
  * for every parts; parts = 1 runs the body on the calling thread and
- * starts no thread. ksets_pass (moves in visiting order), ksets_build (a
- * scatter across rows), ksets_two_step and ksets_format (each line's offset
- * depends on the lines before it) stay on one thread.
+ * starts no thread. ksets_restarts runs each of its restarts on a thread
+ * of its own, in its own rows of every array, so a restart's results do
+ * not depend on the others; a single restart splits its table scatters as
+ * ksets_scatter does. ksets_pass (moves in visiting order), ksets_build (a
+ * scatter across rows), ksets_two_step and ksets_format (each line's
+ * offset depends on the lines before it) stay on one thread.
  */
 #include <math.h>
 #include <stdint.h>
@@ -116,14 +122,13 @@ static int64_t entry_split(const int64_t *indptr, int64_t n, int64_t t, int64_t 
     return lo;
 }
 
-/* One pass; returns its move count. rows is the n-by-k point-to-set table,
- * and ops receives the pass's (ops_delta, ops_update). A pass moves only the
- * point it visits, at most once, so a caller that wants the moves reads them
- * from the entries of assign that the pass changed. */
-int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
-                   const int64_t *indices, const double *data,
-                   const double *diag, int64_t *assign, int64_t *sizes,
-                   double *gbar, double *rows, double *objective, int64_t *ops)
+/* One pass over the measure whose stored values are data[p] * sign (sign is
+ * 1.0 or -1.0, and x * -1.0 has the bits of -x); returns its move count. */
+static int64_t pass_rows(int64_t n, int64_t k, const int64_t *indptr,
+                         const int64_t *indices, const double *data,
+                         double sign, const double *diag, int64_t *assign,
+                         int64_t *sizes, double *gbar, double *rows,
+                         double *objective, int64_t *ops)
 {
     int64_t moves = 0;
     for (int64_t x = 0; x < n; x++) {
@@ -157,9 +162,9 @@ int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
         sizes[dst] = sb + 1;
         assign[x] = dst;
         for (int64_t p = lo; p < hi; p++)
-            rows[indices[p] * k + src] -= data[p];
+            rows[indices[p] * k + src] -= data[p] * sign;
         for (int64_t p = lo; p < hi; p++)
-            rows[indices[p] * k + dst] += data[p];
+            rows[indices[p] * k + dst] += data[p] * sign;
         *objective += ((double)(sa - 1) * gbar[src]
                        + (double)(sb + 1) * gbar[dst]) - old;
         ops[1] += 2 * (hi - lo) + 6;
@@ -168,11 +173,24 @@ int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
     return moves;
 }
 
+/* One pass; returns its move count. rows is the n-by-k point-to-set table,
+ * and ops receives the pass's (ops_delta, ops_update). A pass moves only the
+ * point it visits, at most once, so a caller that wants the moves reads them
+ * from the entries of assign that the pass changed. */
+int64_t ksets_pass(int64_t n, int64_t k, const int64_t *indptr,
+                   const int64_t *indices, const double *data,
+                   const double *diag, int64_t *assign, int64_t *sizes,
+                   double *gbar, double *rows, double *objective, int64_t *ops)
+{
+    return pass_rows(n, k, indptr, indices, data, 1.0, diag, assign, sizes,
+                     gbar, rows, objective, ops);
+}
+
 struct scatter_job {
     int64_t n, k, parts;
     const int64_t *indptr, *indices, *assign;
     const double *data;
-    double *out;
+    double sign, *out;
 };
 
 static void scatter_rows(void *context, int64_t t)
@@ -184,7 +202,7 @@ static void scatter_rows(void *context, int64_t t)
     for (int64_t r = lo; r < hi; r++) {
         double *row = c->out + r * c->k;
         for (int64_t p = c->indptr[r]; p < c->indptr[r + 1]; p++)
-            row[c->assign[c->indices[p]]] += c->data[p];
+            row[c->assign[c->indices[p]]] += c->data[p] * c->sign;
     }
 }
 
@@ -198,8 +216,117 @@ void ksets_scatter(int64_t n, int64_t k, const int64_t *indptr,
                    const int64_t *assign, double *out, int64_t parts)
 {
     struct scatter_job job = {n, k, clamp_parts(parts), indptr, indices,
-                              assign, data, out};
+                              assign, data, 1.0, out};
     run_parts(job.parts, scatter_rows, &job);
+}
+
+struct restart_job {
+    int64_t n, k, count, threads, parts, max_passes, cap;
+    const int64_t *indptr, *indices;
+    const double *data, *diag;
+    double sign;
+    int64_t *assign, *best, *sizes, *moves, *stats;
+    double *gbar, *rows, *history, *objective;
+};
+
+/* The set sizes of assign into sizes, gamma(S_c, S_c) of every set c into
+ * self, and the point-to-set table into rows, from scratch: each set sum
+ * adds its points' own-set cells in point order, as np.bincount does. */
+static void set_sums(const struct restart_job *c, const int64_t *assign,
+                     int64_t *sizes, double *self, double *rows)
+{
+    int64_t k = c->k;
+    struct scatter_job scatter = {c->n, k, c->parts, c->indptr, c->indices,
+                                  assign, c->data, c->sign, rows};
+    run_parts(scatter.parts, scatter_rows, &scatter);
+    for (int64_t s = 0; s < k; s++) {
+        sizes[s] = 0;
+        self[s] = 0.0;
+    }
+    for (int64_t x = 0; x < c->n; x++) {
+        sizes[assign[x]]++;
+        self[assign[x]] += rows[x * k + assign[x]];
+    }
+}
+
+/* Restart r, the twin of engine._restarts_reference: EngineState's tables,
+ * then passes until one moves nothing, max_passes have run or the cap
+ * slots of history and moves are full, keeping in best the partition of
+ * the strictly highest objective seen (the start's included), then
+ * objective_value of best. A later call with a larger cap resumes a
+ * restart that filled its slots. */
+static void run_restart(const struct restart_job *c, int64_t r)
+{
+    int64_t n = c->n, k = c->k;
+    int64_t *assign = c->assign + r * n, *best = c->best + r * n;
+    int64_t *sizes = c->sizes + r * k, *stats = c->stats + r * 4;
+    double *gbar = c->gbar + r * k, *rows = c->rows + r * n * k;
+    double *objective = c->objective + r * 3;
+    if (stats[1] || stats[0] == c->max_passes)
+        return; /* finished in an earlier call */
+    if (stats[0] == 0) {
+        set_sums(c, assign, sizes, gbar, rows);
+        objective[0] = 0.0;
+        for (int64_t s = 0; s < k; s++) {
+            gbar[s] = gbar[s] / (double)(sizes[s] * sizes[s]);
+            objective[0] += (double)sizes[s] * gbar[s];
+        }
+        objective[1] = objective[0];
+        memcpy(best, assign, (size_t)n * sizeof *best);
+    }
+    while (!stats[1] && stats[0] < c->max_passes && stats[0] < c->cap) {
+        int64_t moved = pass_rows(n, k, c->indptr, c->indices, c->data,
+                                  c->sign, c->diag, assign, sizes, gbar, rows,
+                                  objective, stats + 2);
+        c->moves[r * c->cap + stats[0]] = moved;
+        c->history[r * c->cap + stats[0]] = objective[0];
+        stats[0]++;
+        if (objective[0] > objective[1]) {
+            objective[1] = objective[0];
+            memcpy(best, assign, (size_t)n * sizeof *best);
+        }
+        stats[1] = moved == 0;
+    }
+    if (!stats[1] && stats[0] < c->max_passes)
+        return; /* out of slots */
+    set_sums(c, best, sizes, gbar, rows);
+    objective[2] = 0.0;
+    for (int64_t s = 0; s < k; s++)
+        objective[2] += gbar[s] / (double)sizes[s];
+}
+
+static void restart_part(void *context, int64_t t)
+{
+    const struct restart_job *c = context;
+    for (int64_t r = t; r < c->count; r += c->threads)
+        run_restart(c, r);
+}
+
+/* count restarts of the engine on the measure whose stored values are
+ * data[p] * sign, restart r on its own rows of every array (assign, best:
+ * n; sizes, gbar: k; rows: n * k; moves, history: cap; stats: 4;
+ * objective: 3), so that each runs on a thread of its own, up to
+ * KSETS_MAX_PARTS threads. assign holds each start and ends as the last
+ * pass's partition, best as the partition of the highest objective seen.
+ * stats is (passes, converged, ops_delta, ops_update), zeroed by the
+ * caller before the first call, and objective (last pass, best pass,
+ * objective_value of best); moves and history get each pass's move count
+ * and objective. One restart splits its table scatters into parts; more
+ * restarts run every scan of a restart as one part. */
+void ksets_restarts(int64_t n, int64_t k, const int64_t *indptr,
+                    const int64_t *indices, const double *data,
+                    const double *diag, double sign, int64_t count,
+                    int64_t parts, int64_t max_passes, int64_t cap,
+                    int64_t *assign, int64_t *best, int64_t *sizes,
+                    double *gbar, double *rows, int64_t *moves,
+                    double *history, int64_t *stats, double *objective)
+{
+    struct restart_job job = {n, k, count, clamp_parts(count),
+                              count == 1 ? clamp_parts(parts) : 1,
+                              max_passes, cap, indptr, indices, data, diag,
+                              sign, assign, best, sizes, moves, stats, gbar,
+                              rows, history, objective};
+    run_parts(job.threads, restart_part, &job);
 }
 
 /* A hint to fetch the cache line at p for writing, where the compiler has

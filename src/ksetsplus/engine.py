@@ -19,14 +19,16 @@ sum comes from it: gbar and the objective sum each point's own-set cell
 per set, and verify's K x K block sums add its cells by the point's set.
 assign and sizes are int64 arrays and gbar a float64 array, so the
 compiled pass kernel (_pass.c) updates all of them in place. The same
-library fills the table from scratch. The pure-Python pass and the numpy
-table are kept as the kernel's bit-exact references and as the fallback
-when no kernel can be built.
+library fills the table from scratch, and runs run's restarts whole, one
+per thread. The pure-Python pass, the numpy table and the restart loop
+over init_state, _converge and objective_value are kept as the kernel's
+bit-exact references and as the fallback when no kernel can be built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +65,21 @@ class RunConfig:
                 raise KOutOfRange("initial partition has the wrong k")
 
 
+class RestartRecord(NamedTuple):
+    """What one restart did: its recomputed objective (on the scale of
+    RunResult.objective), its pass count, whether its last pass moved
+    nothing, each pass's move count, and the closeness evaluations and
+    update operations of its passes. A named tuple, as a frozen dataclass
+    would add about 1 ms to importing the package."""
+
+    objective: float
+    passes: int
+    converged: bool
+    moves: tuple[int, ...]
+    ops_delta: int
+    ops_update: int
+
+
 @dataclass
 class RunResult:
     partition: Partition
@@ -71,6 +88,7 @@ class RunResult:
     history: list[float]
     converged: bool
     restart: int
+    per_restart: list[RestartRecord]
 
 
 class EngineState:
@@ -106,7 +124,7 @@ class EngineState:
         self.gbar = np.array(gbar)
         # n-by-k gamma(x_i, S_k), the table the passes update in place.
         self.point_to_set = table.reshape(measure.n, k)
-        self.objective = sum(sizes[c] * gbar[c] for c in range(k))
+        self.objective = _sum_in_order(sizes[c] * gbar[c] for c in range(k))
         self.ops_delta = 0
         self.ops_update = 0
 
@@ -150,6 +168,15 @@ def _point_to_set_reference(
     return np.bincount(
         g.entry_rows() * k + assign[g.indices], weights=g.data, minlength=g.n * k
     )
+
+
+def _sum_in_order(terms) -> float:
+    """0.0 plus the terms from left to right, the compiled kernel's order
+    (sum() compensates its float additions from Python 3.12 on)."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def _set_self_sums(table: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
@@ -319,24 +346,94 @@ def objective_value(g: SparseSymmetricMeasure, partition: Partition) -> float:
     _check_covers(partition, g.n)
     assign, k = partition.assign, partition.k
     per_set = _set_self_sums(_point_to_set(g, assign, k), assign, k).tolist()
-    return sum(s / size for s, size in zip(per_set, partition.sizes.tolist()))
+    return _sum_in_order(s / size for s, size in zip(per_set, partition.sizes.tolist()))
 
 
 def _converge(state: EngineState, max_passes: int):
+    """Passes until one moves nothing or max_passes have run: the
+    partition of the strictly highest objective seen (the start's
+    included), each pass's objective, whether the last pass moved
+    nothing, and each pass's move count."""
     history: list[float] = []
+    moves: list[int] = []
     best_objective = state.objective
     best_assign = state.assign.copy()
     converged = False
     for _ in range(max_passes):
         moved = run_pass(state)
         history.append(state.objective)
+        moves.append(moved)
         if state.objective > best_objective:
             best_objective = state.objective
             best_assign = state.assign.copy()
         if moved == 0:
             converged = True
             break
-    return best_assign, history, converged
+    return best_assign, history, converged, moves
+
+
+def _start(config: RunConfig, n: int, r: int) -> Partition:
+    return config.init_partition or random_balanced_partition(
+        n, config.k, config.seed + r
+    )
+
+
+def _restarts_reference(g: SparseSymmetricMeasure, config: RunConfig):
+    """Every restart in order, one after another, through init_state,
+    _converge and objective_value: (best assign, objective_value of it,
+    history, converged, moves per pass, ops_delta, ops_update)."""
+    for r in range(config.restarts):
+        state = init_state(g, _start(config, g.n, r))
+        assign, history, converged, moves = _converge(state, config.max_passes)
+        objective = objective_value(g, Partition(assign, config.k))
+        yield assign, objective, history, converged, moves, state.ops_delta, state.ops_update
+
+
+# History and move slots per restart for a first ksets_restarts call; a
+# restart that fills them resumes in a call with twice as many.
+_PASS_SLOTS = 128
+
+
+def _restarts_compiled(library, g: SparseSymmetricMeasure, sign: float, config: RunConfig):
+    """``_restarts_reference``'s tuples, from ksets_restarts on the measure
+    with values data * sign. A batch of restarts runs in one call, each on
+    a thread of its own, in arrays allocated once per run for one batch."""
+    from ._kernel import parts
+
+    n, k, total, max_passes = g.n, config.k, config.restarts, config.max_passes
+    threads = min(total, parts(total * g.m))
+    cap = min(max_passes, _PASS_SLOTS)
+    assign = np.empty((threads, n), dtype=np.int64)
+    best = np.empty_like(assign)
+    sizes = np.empty((threads, k), dtype=np.int64)
+    gbar = np.empty((threads, k))
+    rows = np.empty((threads, n * k))
+    moves = np.empty((threads, cap), dtype=np.int64)
+    history = np.empty((threads, cap))
+    stats = np.empty((threads, 4), dtype=np.int64)
+    objective = np.empty((threads, 3))
+    for first in range(0, total, threads):
+        count = min(threads, total - first)
+        for t in range(count):
+            assign[t] = _start(config, n, first + t).assign
+        stats[:] = 0
+        while True:
+            library.ksets_restarts(
+                n, k, g.indptr, g.indices, g.data, g.diag, sign, count,
+                parts(g.m), max_passes, cap, assign, best, sizes, gbar, rows,
+                moves, history, stats, objective,
+            )
+            if np.all(stats[:count, 1] | (stats[:count, 0] == max_passes)):
+                break  # every restart converged or ran max_passes
+            grown = min(2 * cap, max_passes) - cap
+            moves = np.hstack((moves, np.empty((threads, grown), dtype=np.int64)))
+            history = np.hstack((history, np.empty((threads, grown))))
+            cap += grown
+        for t, (passes, converged, ops_delta, ops_update) in enumerate(stats[:count].tolist()):
+            yield (
+                best[t], float(objective[t, 2]), history[t, :passes].tolist(),
+                bool(converged), moves[t, :passes].tolist(), ops_delta, ops_update,
+            )
 
 
 def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
@@ -344,11 +441,14 @@ def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
 
     Restart r starts from a random-balanced partition seeded with
     seed + r (or from config.init_partition), so the outcome does not
-    depend on scheduling; the runs themselves execute sequentially.
-    The reported objective is recomputed from scratch to shed any
+    depend on scheduling. With the compiled kernel, the restarts run in
+    batches of one per thread (``_kernel.parts`` of restarts * m), each
+    batch in one C call; without it, one after another in Python. The
+    reported objective is recomputed from scratch to shed any
     incremental drift. Ties go to the lowest restart index. A run cut
     off by max_passes contributes the best per-pass snapshot it saw and
-    is flagged converged=False.
+    is flagged converged=False. per_restart records every restart, in
+    order.
 
     A measure of kind "distance" is clustered as the similarity -d: it
     shares the CSR structure and negates the values. Under the induced
@@ -359,22 +459,25 @@ def run(g: SparseSymmetricMeasure, config: RunConfig) -> RunResult:
     sum(d) / n: sum_k gamma(S_k, S_k) / |S_k| = sum(d) / n
     - sum_k d(S_k, S_k) / |S_k|. An unstored pair is distance 0.
     """
+    from ._kernel import load
+
     config.validate(g.n)
-    offset = 0.0
+    offset, sign = 0.0, 1.0
     if g.kind == "distance":
-        offset = float(g.data.sum()) / g.n
-        g = g._negated()
+        offset, sign = float(g.data.sum()) / g.n, -1.0
+    library = load()
+    if library is not None:
+        restarts = _restarts_compiled(library, g, sign, config)
+    else:
+        restarts = _restarts_reference(g._negated() if sign < 0 else g, config)
+    records: list[RestartRecord] = []
     best: RunResult | None = None
-    for r in range(config.restarts):
-        start = config.init_partition or random_balanced_partition(
-            g.n, config.k, config.seed + r
-        )
-        state = init_state(g, start)
-        assign, history, converged = _converge(state, config.max_passes)
-        partition = Partition(assign, config.k)
-        objective = objective_value(g, partition) + offset
+    for r, (assign, objective, history, converged, moves, *ops) in enumerate(restarts):
+        objective += offset
+        records.append(RestartRecord(objective, len(history), converged, tuple(moves), *ops))
         if best is None or objective > best.objective:
             history = [h + offset for h in history]
-            best = RunResult(partition, objective, len(history), history, converged, r)
+            partition = Partition(assign, config.k)
+            best = RunResult(partition, objective, len(history), history, converged, r, records)
     assert best is not None
     return best

@@ -78,7 +78,8 @@ class SparseSymmetricMeasure:
     ``ksets_check`` (see ``_kernel``) checks and fills ``diag`` in one
     scan; when no kernel can be built, ``_check_reference`` does.
     ``_negated`` derives the similarity -d from a measure that has passed
-    them. Instances are immutable by convention after construction and
+    them, for ``engine.run``'s reference path only: the compiled restarts
+    read d's own values times -1.0. Instances are immutable by convention after construction and
     safe to share across threads; treat the arrays as read-only.
     """
 
@@ -126,7 +127,8 @@ class SparseSymmetricMeasure:
 
     def _negated(self) -> SparseSymmetricMeasure:
         """The similarity -d of this checked distance d, without a second
-        check: negated finite values pass every check. It owns its data
+        check, for the reference restarts (the compiled ones negate each
+        value as they read it): negated finite values pass every check. It owns its data
         and shares indptr, indices and diag. The builders store no zero, so
         a distance's diag is all +0.0, as the checked constructor's would
         be; only a 0.0 stored on the diagonal would flip a zero's sign."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ksetsplus import engine
+from ksetsplus import _kernel, engine
 from ksetsplus.delta import adjusted_delta
 from ksetsplus.engine import (
     RunConfig,
@@ -335,18 +335,30 @@ class TestRun:
         with pytest.raises(ArityMismatch, match=message):
             run(g, config)
 
-    def test_initial_partition_starts_every_restart_unchanged(self, monkeypatch):
+    def test_initial_partition_starts_every_restart_unchanged(self, build_path, monkeypatch):
         rng = np.random.default_rng(31)
         g = random_similarity_dense(rng, 20, density=0.5)
         part = random_partition(rng, 20, 3)
         before = part.assign.tobytes()
         starts = []
+        if build_path == "kernel":
+            # The starts as the compiled restarts receive them.
+            library = _kernel.load()
+            routine = library.ksets_restarts
 
-        def recording_init_state(measure, partition):
-            starts.append(partition.assign.tobytes())
-            return init_state(measure, partition)
+            def recording_restarts(*args):
+                count, assign = args[7], args[11]
+                starts.extend(row.tobytes() for row in assign[:count])
+                return routine(*args)
 
-        monkeypatch.setattr(engine, "init_state", recording_init_state)
+            monkeypatch.setattr(library, "ksets_restarts", recording_restarts)
+        else:
+
+            def recording_init_state(measure, partition):
+                starts.append(partition.assign.tobytes())
+                return init_state(measure, partition)
+
+            monkeypatch.setattr(engine, "init_state", recording_init_state)
         result = run(g, RunConfig(k=3, seed=0, init_partition=part, restarts=3))
         assert result.partition.assign.tobytes() != before
         assert starts == [before] * 3

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from ksetsplus import _kernel, cli
 from ksetsplus import io as kio
-from ksetsplus.engine import _point_to_set, _point_to_set_reference
+from ksetsplus.engine import RunConfig, _point_to_set, _point_to_set_reference, run
 from ksetsplus.errors import KsetsError
+from ksetsplus.experiments import SbmParams, sbm_generate, similarity_from_signed
 from ksetsplus.measure import (
     KINDS,
     SparseSymmetricMeasure,
@@ -276,19 +277,25 @@ def test_benchmark_inputs_split_and_the_signed_benchmark_does_not(monkeypatch):
 
 
 @needs_cc
-def test_signed_benchmark_calls_start_no_thread(monkeypatch, capsys):
+def test_signed_benchmark_splits_its_restarts_only(monkeypatch, capsys):
+    """Every row scan of the signed benchmark runs in one part; only its
+    five restarts, 5 m steps of work in all, run on threads."""
+    graph = sbm_generate(SbmParams(n=2000, c=10, diff=5, p=0.1, seed=7))
+    restarts = 5 * similarity_from_signed(graph).m
     monkeypatch.setattr(_kernel, "_cpu_count", lambda: 8)
-    chosen = []
+    chosen = {}
     rule = _kernel.parts
-    monkeypatch.setattr(_kernel, "parts", lambda work: chosen.append(rule(work)) or chosen[-1])
+    monkeypatch.setattr(_kernel, "parts", lambda work: chosen.setdefault(work, rule(work)))
     argv = ["sbm", "--n", "2000", "--c", "10", "--diff", "5", "--p", "0.1"]
     assert cli.main([*argv, "--k", "2", "--restarts", "5", "--seed", "7"]) == 0
     capsys.readouterr()
-    assert chosen and set(chosen) == {1}
+    assert chosen.pop(restarts) == 4
+    assert chosen and set(chosen.values()) == {1}
 
 
 def run_every_split_routine():
-    """Each split routine once, through its Python caller."""
+    """Each split routine once, through its Python caller, and a run's
+    restarts, which split by restart."""
     library = _kernel.load()
     text = np.frombuffer(b"# h\n0 1 0.5\n1 2 1.5\n\n2 0 -1\n", np.uint8)
     assert kio._read_text(library, text, 0, False).shape == (3, 3)
@@ -296,6 +303,7 @@ def run_every_split_routine():
     upper = np.triu(rng.uniform(0.0, 1.0, size=(40, 40)), 1)
     g = _from_dense_unchecked(upper + upper.T, "distance", True)  # dense, check
     assert _point_to_set(g, rng.integers(0, 3, size=40), 3).shape == (120,)
+    assert run(g, RunConfig(k=3, restarts=5)).restart in range(5)
 
 
 @needs_cc
