@@ -1,6 +1,6 @@
 """Build, cache and load the compiled kernel library (``_pass.c``) on first use.
 
-The library holds nine routines: ``ksets_pass`` (one engine pass),
+The library holds ten routines: ``ksets_pass`` (one engine pass),
 ``ksets_restarts`` (whole engine restarts: the tables, the passes until
 convergence or ``max_passes``, and the recomputed objective, one restart
 per thread), ``ksets_scatter`` (the point-to-set table, from which the
@@ -13,13 +13,18 @@ constructor's checks of CSR arrays and its diagonal, in one scan),
 ``ksets_two_step`` (the CSR arrays of the signed benchmark's similarity
 A + 0.5 A^2 from its signed edges), ``ksets_read`` (an edge list or
 dense CSV of a strict grammar into the float64 table np.loadtxt would
-return, or a refusal) and ``ksets_format`` (an int64 id array as the
-partition writer's ``i<TAB>id`` lines).
+return, or a refusal), ``ksets_format`` (an int64 id array as the
+partition writer's ``i<TAB>id`` lines) and ``ksets_draws`` (the positions
+of the signed benchmark's pair draws, from numpy's PCG64 ``random()``
+stream, that fall below their probability).
 Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
 ``ksets_scatter``, split their rows across ``parts(work)`` threads inside
 the one C call, each part writing only its own rows, so every split gives
 the same bytes; one part starts no thread. ``ksets_restarts`` runs a batch
 of restarts, one per thread, each in its own rows of the caller's arrays.
+``ksets_draws`` splits its draws into runs of consecutive draws, each part
+jumping the generator's state ahead to its first and keeping positions in
+its own slots.
 The library is compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -118,6 +123,12 @@ _ROUTINES = {
         [ctypes.c_int64, _I64]
         + [np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")]
         + [ctypes.c_int64],
+    ),
+    "ksets_draws": (
+        ctypes.c_int64,
+        # pcg, segments, counts, probs, parts, cap, out
+        [np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS"), ctypes.c_int64]
+        + [_I64, _F64, ctypes.c_int64, ctypes.c_int64, _I64_OUT],
     ),
 }
 

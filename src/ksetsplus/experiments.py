@@ -115,12 +115,17 @@ class GeoPoint:
 def sbm_generate(params: SbmParams) -> SignedGraph:
     """Draw a signed two-block graph; isolated nodes are dropped.
 
-    Every candidate pair gets one uniform draw, in a fixed order: the
+    Every candidate pair gets one uniform draw of numpy's
+    default_rng(seed).random() stream (PCG64), in a fixed order: the
     upper triangle of each block row by row, then the half-by-half cross
     block row by row, then one crossover draw per kept edge. The pair
-    draws are made _DRAW_CHUNK at a time into one reused buffer, so
-    memory is O(chunk + edges) while time stays O(n^2); the stream, and
-    so every returned array, does not depend on the chunk size.
+    draws are scanned by the compiled ``ksets_draws`` (see ``_kernel``),
+    which reproduces that stream and keeps only the kept pairs' positions,
+    in O(edges) memory; without a kernel, a compiler with a 128-bit
+    integer type, or when its position buffers would overflow,
+    ``_kept_draws`` draws them with numpy, _DRAW_CHUNK at a time, in
+    O(chunk + edges) memory. Time stays O(n^2) either way, and the
+    stream, and so every returned array, is the same on both paths.
 
     Surviving nodes are renumbered densely, so the returned n can be
     smaller than params.n. Deterministic for a given seed.
@@ -128,7 +133,10 @@ def sbm_generate(params: SbmParams) -> SignedGraph:
     p_in, p_out = params.probabilities()
     half = params.n // 2
     rng = np.random.default_rng(params.seed)
-    buffer = np.empty(min(_DRAW_CHUNK, half * half))
+    triangle = half * (half - 1) // 2
+    *triangles, t = _pair_draws(
+        rng, (triangle, triangle, half * half), (p_in, p_in, p_out)
+    )
 
     # Row r of a block's upper triangle starts at triangle position
     # r (half - 1) - r (r - 1) / 2, in np.triu_indices(half, 1) order.
@@ -137,13 +145,11 @@ def sbm_generate(params: SbmParams) -> SignedGraph:
     parts_i: list[np.ndarray] = []
     parts_j: list[np.ndarray] = []
     truth_parts: list[np.ndarray] = []
-    for offset in (0, half):
-        t = _kept_draws(rng, half * (half - 1) // 2, p_in, buffer)
-        i = np.searchsorted(row_start, t, side="right") - 1
+    for offset, kept in zip((0, half), triangles):
+        i = np.searchsorted(row_start, kept, side="right") - 1
         parts_i.append(i + offset)
-        parts_j.append(t - row_start[i] + i + 1 + offset)
-        truth_parts.append(np.ones(len(t), dtype=np.int8))
-    t = _kept_draws(rng, half * half, p_out, buffer)
+        parts_j.append(kept - row_start[i] + i + 1 + offset)
+        truth_parts.append(np.ones(len(kept), dtype=np.int8))
     parts_i.append(t // half)
     parts_j.append(t % half + half)
     truth_parts.append(-np.ones(len(t), dtype=np.int8))
@@ -169,6 +175,54 @@ def sbm_generate(params: SbmParams) -> SignedGraph:
         truth_sign=truth,
         block=block[survivors],
     )
+
+
+def _pair_draws(rng, counts, probs) -> list[np.ndarray]:
+    """For each segment s, the positions t in [0, counts[s]) whose uniform
+    draw is below probs[s], in order, where the segments take their
+    counts[s] draws of rng.random() one after another.
+
+    With the kernel and a PCG64 generator, ``ksets_draws`` scans the stream
+    from the generator's state, split over ``_kernel.parts(draws)``
+    threads, and the generator is then advanced past it; each part keeps up
+    to the binomial mean of all the kept draws plus a wide margin. If one
+    part would keep more, or the kernel cannot scan, the untouched
+    generator draws the segments through ``_kept_draws``.
+    """
+    from ._kernel import load, parts
+
+    library = load()
+    state = rng.bit_generator.state
+    if library is not None and state["bit_generator"] == "PCG64":
+        total = sum(counts)
+        split = parts(total)
+        cap = _kept_capacity(sum(c * p for c, p in zip(counts, probs)))
+        out = np.empty(split * cap, dtype=np.int64)
+        words = [
+            state["state"][key] >> shift & (2**64 - 1)
+            for key in ("state", "inc")
+            for shift in (64, 0)
+        ]
+        kept = library.ksets_draws(
+            np.array(words, dtype=np.uint64), len(counts), np.array(counts, dtype=np.int64),
+            np.array(probs, dtype=np.float64), split, cap, out,
+        )
+        if kept >= 0:
+            rng.bit_generator.advance(total)
+            out = out[:kept]
+            starts = np.cumsum([0, *counts])
+            cuts = np.searchsorted(out, starts)
+            return [
+                out[cuts[s] : cuts[s + 1]] - starts[s] for s in range(len(counts))
+            ]
+    buffer = np.empty(max(1, min(_DRAW_CHUNK, max(counts, default=0))))
+    return [_kept_draws(rng, c, p, buffer) for c, p in zip(counts, probs)]
+
+
+def _kept_capacity(mean: float) -> int:
+    """Slots for the kept draws of a binomial stream of this mean: the mean,
+    8 sqrt(mean), which bounds eight standard deviations, and 64."""
+    return int(mean + 8.0 * math.sqrt(mean)) + 64
 
 
 def _kept_draws(rng, count: int, prob: float, buffer: np.ndarray) -> np.ndarray:
@@ -347,10 +401,17 @@ def accuracy_sweep(
     clustered with k=2 on the A + 0.5 A^2 similarity, and scored; the
     row carries the mean and the normal-approximation 95% half-width.
     Cell seeds derive from (seed, cell, graph) so runs are reproducible
-    and independent of evaluation order.
+    and independent of evaluation order. Every cell's rates and the run
+    settings are checked before the first graph is drawn.
     """
     if graphs_per_point < 1:
         raise KOutOfRange(f"graphs_per_point={graphs_per_point} must be >= 1")
+    c_list, p_grid = list(c_list), list(p_grid)
+    for c in c_list:
+        for p in p_grid:
+            SbmParams(n, c, diff=diff, p=p, seed=seed).probabilities()
+    if c_list and p_grid:
+        RunConfig(k=2, restarts=restarts, max_passes=max_passes).validate(n)
     rows = []
     for ci, c in enumerate(c_list):
         for pi, p in enumerate(p_grid):

@@ -416,6 +416,9 @@ class TestOtherCommands:
             def ksets_two_step(self, *args):
                 return -1
 
+            def ksets_draws(self, *args):  # refused: the graph is drawn by numpy
+                return -1
+
         monkeypatch.setattr(_kernel, "load", Library)
         assert main(["sbm", "--n", "200", "--c", "8", "--seed", "3"]) == 2
         captured = capsys.readouterr()
@@ -471,6 +474,23 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert "graphs_per_point=0 must be >= 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--c-list", "6,8,1000", "--p-grid", "0.05,0.1"], "derived p_in=2.513 outside [0, 1]"),
+            (["--c-list", "6", "--p-grid", "0.1,0.7"], "p=0.7 outside [0, 0.5]"),
+            (["--c-list", "6", "--p-grid", "0.1", "--restarts", "0"], "restarts=0 must be >= 1"),
+        ],
+        ids=["late_rate", "late_crossover", "restarts"],
+    )
+    def test_bad_cell_is_exit_3_before_generating(self, monkeypatch, capsys, args, message):
+        calls = []
+        monkeypatch.setattr(experiments, "sbm_generate", lambda params: calls.append(params))
+        assert main(["sweep", "--n", "400", *args, "--graphs", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and calls == []
 
     def test_geo_smoke(self, tmp_path):
         pts = tmp_path / "pts.csv"

@@ -173,7 +173,7 @@ class TestSbmGenerate:
         (2000, 10.0, 5.0, 0.1, 1): "ad7947f748ed958d",
     }
 
-    def test_arrays_are_pinned(self):
+    def test_arrays_are_pinned(self, build_path):
         for (n, c, diff, p, seed), pin in self.PINS.items():
             graph = sbm_generate(SbmParams(n, c, diff=diff, p=p, seed=seed))
             digest = hashlib.sha256()
@@ -183,7 +183,8 @@ class TestSbmGenerate:
             assert graph.edge_i.dtype == graph.edge_j.dtype == np.int64
 
     # 7 divides neither count at n=60; 29 divides the 435 triangle draws,
-    # and 435 is one chunk per block.
+    # and 435 is one chunk per block. The chunk is the reference path's;
+    # the kernel path draws the same graph at any chunk.
     @pytest.mark.parametrize("chunk", [1, 7, 29, 435])
     @pytest.mark.parametrize(
         "n, c, diff, p, seed",
@@ -191,7 +192,7 @@ class TestSbmGenerate:
          (60, 3.0, 5.0, 0.1, 4)],
     )
     def test_any_chunk_size_draws_the_one_shot_graph(
-        self, monkeypatch, chunk, n, c, diff, p, seed
+        self, build_path, monkeypatch, chunk, n, c, diff, p, seed
     ):
         monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
         params = SbmParams(n, c, diff=diff, p=p, seed=seed)
@@ -200,6 +201,114 @@ class TestSbmGenerate:
         for name in GRAPH_ARRAYS:
             got, want = getattr(graph, name), getattr(expected, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+PROBS = [0.0, 1.0, 1e-300, 0.5, 2.0**-53, 1.0 - 2.0**-53]
+
+
+def reference_draws(rng, counts, probs):
+    buffer = np.empty(1000)  # any chunk draws the same stream
+    return [experiments._kept_draws(rng, c, p, buffer) for c, p in zip(counts, probs)]
+
+
+def assert_same_draws(seed, counts, probs):
+    """_pair_draws from default_rng(seed) gives _kept_draws's positions, dtype
+    and all, and leaves the generator in numpy's state."""
+    rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = experiments._pair_draws(rng, counts, probs)
+    expected = reference_draws(expected_rng, counts, probs)
+    assert len(got) == len(counts)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    assert rng.random() == expected_rng.random()
+
+
+class TestPairDraws:
+    """The compiled ksets_draws against numpy's stream, _kept_draws."""
+
+    @needs_cc
+    @given(
+        seed=st.integers(0, 2**128 - 1),
+        segments=st.lists(
+            st.tuples(
+                st.integers(0, 9) | st.integers(10, 5000) | st.integers(1 << 18, 3 << 17),
+                st.sampled_from(PROBS) | st.floats(0.0, 1.0),
+            ),
+            max_size=5,
+        ),
+        parts=st.sampled_from([1, 2, 3, 7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_draws_numpy_stream(self, seed, segments, parts):
+        counts, probs = [c for c, _ in segments], [p for _, p in segments]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "parts", lambda work: parts)
+            assert_same_draws(seed, counts, probs)
+
+    @needs_cc
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+    def test_signed_benchmark_stream(self, monkeypatch, parts):
+        monkeypatch.setattr(_kernel, "parts", lambda work: parts)
+        p_in, p_out = SbmParams(2000, 10.0, diff=5.0, p=0.1, seed=0).probabilities()
+        assert_same_draws(1, [499_500, 499_500, 1_000_000], [p_in, p_in, p_out])
+
+    @needs_cc
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+    def test_probabilities_at_the_draws(self, monkeypatch, parts):
+        """Draw s of the stream alone in segment s, at a probability of the
+        double below it, equal to it or just above it: only the last keeps
+        it, which the integer test must tell apart from the others."""
+        monkeypatch.setattr(_kernel, "parts", lambda work: parts)
+        draws = np.random.default_rng(11).random(60)
+        near = [np.nextafter(draws, 0.0), draws, np.nextafter(draws, 2.0)]
+        probs = np.choose(np.arange(60) % 3, near).tolist()
+        assert_same_draws(11, [1] * 60, probs)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The kernel's ksets_draws returns, as calls make them."""
+        library, returns = _kernel.load(), []
+        routine = library.ksets_draws
+        monkeypatch.setattr(
+            library, "ksets_draws", lambda *args: returns.append(routine(*args)) or returns[-1]
+        )
+        return returns
+
+    @needs_cc
+    @pytest.mark.parametrize("parts", [1, 2, 7])
+    def test_overflow_redraws_on_numpy(self, monkeypatch, parts):
+        monkeypatch.setattr(_kernel, "parts", lambda work: parts)
+        monkeypatch.setattr(experiments, "_kept_capacity", lambda mean: 1)
+        returns = self.spy(monkeypatch)
+        assert_same_draws(3, [40, 0, 90], [0.5, 0.3, 1.0])
+        assert returns == [-1]
+
+    @needs_cc
+    @pytest.mark.parametrize("room, kept", [(0, 13), (-1, -1)])
+    def test_exactly_full_slots_are_kept(self, monkeypatch, room, kept):
+        monkeypatch.setattr(_kernel, "parts", lambda work: 1)
+        monkeypatch.setattr(experiments, "_kept_capacity", lambda mean: int(mean) + room)
+        returns = self.spy(monkeypatch)
+        assert_same_draws(3, [4, 0, 9], [1.0, 0.3, 1.0])
+        assert returns == [kept]
+
+    def test_refused_or_missing_kernel_draws_on_numpy(self, monkeypatch):
+        class Refusing:  # as a build without a 128-bit integer type answers
+            def ksets_draws(self, *args):
+                return -1
+
+        for library in (Refusing(), None):
+            monkeypatch.setattr(_kernel, "load", lambda: library)
+            assert_same_draws(5, [7, 30, 0, 1000], [0.5, 1e-300, 1.0, 0.25])
+
+    def test_other_bit_generators_draw_on_numpy(self):
+        rng = np.random.Generator(np.random.Philox(9))
+        expected_rng = np.random.Generator(np.random.Philox(9))
+        got = experiments._pair_draws(rng, [50, 70], [0.5, 0.1])
+        for a, b in zip(got, reference_draws(expected_rng, [50, 70], [0.5, 0.1])):
+            assert a.tobytes() == b.tobytes()
+        assert rng.random() == expected_rng.random()
 
 
 class TestSimilarityFromSigned:
