@@ -22,9 +22,7 @@ Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
 the one C call, each part writing only its own rows, so every split gives
 the same bytes; one part starts no thread. ``ksets_restarts`` runs a batch
 of restarts, one per thread, each in its own rows of the caller's arrays.
-``ksets_draws`` splits its draws into runs of consecutive draws, each part
-jumping the generator's state ahead to its first and keeping positions in
-its own slots.
+``ksets_draws`` scans its one generator stream on the calling thread.
 The library is compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -126,9 +124,9 @@ _ROUTINES = {
     ),
     "ksets_draws": (
         ctypes.c_int64,
-        # pcg, segments, counts, probs, parts, cap, out
+        # pcg, segments, counts, probs, cap, out
         [np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS"), ctypes.c_int64]
-        + [_I64, _F64, ctypes.c_int64, ctypes.c_int64, _I64_OUT],
+        + [_I64, _F64, ctypes.c_int64, _I64_OUT],
     ),
 }
 

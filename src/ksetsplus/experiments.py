@@ -183,21 +183,18 @@ def _pair_draws(rng, counts, probs) -> list[np.ndarray]:
     counts[s] draws of rng.random() one after another.
 
     With the kernel and a PCG64 generator, ``ksets_draws`` scans the stream
-    from the generator's state, split over ``_kernel.parts(draws)``
-    threads, and the generator is then advanced past it; each part keeps up
-    to the binomial mean of all the kept draws plus a wide margin. If one
-    part would keep more, or the kernel cannot scan, the untouched
+    from the generator's state into a buffer of the binomial mean of the
+    kept draws plus a wide margin, and the generator is then advanced past
+    it. If it would keep more, or the kernel cannot scan, the untouched
     generator draws the segments through ``_kept_draws``.
     """
-    from ._kernel import load, parts
+    from ._kernel import load
 
     library = load()
     state = rng.bit_generator.state
     if library is not None and state["bit_generator"] == "PCG64":
-        total = sum(counts)
-        split = parts(total)
         cap = _kept_capacity(sum(c * p for c, p in zip(counts, probs)))
-        out = np.empty(split * cap, dtype=np.int64)
+        out = np.empty(cap, dtype=np.int64)
         words = [
             state["state"][key] >> shift & (2**64 - 1)
             for key in ("state", "inc")
@@ -205,10 +202,10 @@ def _pair_draws(rng, counts, probs) -> list[np.ndarray]:
         ]
         kept = library.ksets_draws(
             np.array(words, dtype=np.uint64), len(counts), np.array(counts, dtype=np.int64),
-            np.array(probs, dtype=np.float64), split, cap, out,
+            np.array(probs, dtype=np.float64), cap, out,
         )
         if kept >= 0:
-            rng.bit_generator.advance(total)
+            rng.bit_generator.advance(sum(counts))
             out = out[:kept]
             starts = np.cumsum([0, *counts])
             cuts = np.searchsorted(out, starts)

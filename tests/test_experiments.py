@@ -237,29 +237,21 @@ class TestPairDraws:
             ),
             max_size=5,
         ),
-        parts=st.sampled_from([1, 2, 3, 7]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_kernel_draws_numpy_stream(self, seed, segments, parts):
-        counts, probs = [c for c, _ in segments], [p for _, p in segments]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_kernel, "parts", lambda work: parts)
-            assert_same_draws(seed, counts, probs)
+    def test_kernel_draws_numpy_stream(self, seed, segments):
+        assert_same_draws(seed, [c for c, _ in segments], [p for _, p in segments])
 
     @needs_cc
-    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
-    def test_signed_benchmark_stream(self, monkeypatch, parts):
-        monkeypatch.setattr(_kernel, "parts", lambda work: parts)
+    def test_signed_benchmark_stream(self):
         p_in, p_out = SbmParams(2000, 10.0, diff=5.0, p=0.1, seed=0).probabilities()
         assert_same_draws(1, [499_500, 499_500, 1_000_000], [p_in, p_in, p_out])
 
     @needs_cc
-    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
-    def test_probabilities_at_the_draws(self, monkeypatch, parts):
+    def test_probabilities_at_the_draws(self):
         """Draw s of the stream alone in segment s, at a probability of the
         double below it, equal to it or just above it: only the last keeps
         it, which the integer test must tell apart from the others."""
-        monkeypatch.setattr(_kernel, "parts", lambda work: parts)
         draws = np.random.default_rng(11).random(60)
         near = [np.nextafter(draws, 0.0), draws, np.nextafter(draws, 2.0)]
         probs = np.choose(np.arange(60) % 3, near).tolist()
@@ -267,29 +259,39 @@ class TestPairDraws:
 
     @staticmethod
     def spy(monkeypatch):
-        """The kernel's ksets_draws returns, as calls make them."""
-        library, returns = _kernel.load(), []
+        """The kernel's ksets_draws buffer sizes and returns, as calls make
+        them."""
+        library, sizes, returns = _kernel.load(), [], []
         routine = library.ksets_draws
-        monkeypatch.setattr(
-            library, "ksets_draws", lambda *args: returns.append(routine(*args)) or returns[-1]
-        )
-        return returns
+
+        def call(*args):
+            sizes.append(len(args[-1]))
+            returns.append(routine(*args))
+            return returns[-1]
+
+        monkeypatch.setattr(library, "ksets_draws", call)
+        return sizes, returns
 
     @needs_cc
-    @pytest.mark.parametrize("parts", [1, 2, 7])
-    def test_overflow_redraws_on_numpy(self, monkeypatch, parts):
-        monkeypatch.setattr(_kernel, "parts", lambda work: parts)
+    def test_kept_buffer_is_sized_by_the_kept_draws(self, monkeypatch):
+        """A p=0 segment of 1M draws keeps none and a p=1 one of 20k keeps
+        all: the buffer holds the 20k and a margin, not the draws."""
+        sizes, returns = self.spy(monkeypatch)
+        assert_same_draws(4, [1_000_000, 20_000], [0.0, 1.0])
+        assert returns == [20_000] and 20_000 <= sizes[0] < 1.1 * 20_000
+
+    @needs_cc
+    def test_overflow_redraws_on_numpy(self, monkeypatch):
         monkeypatch.setattr(experiments, "_kept_capacity", lambda mean: 1)
-        returns = self.spy(monkeypatch)
+        _, returns = self.spy(monkeypatch)
         assert_same_draws(3, [40, 0, 90], [0.5, 0.3, 1.0])
         assert returns == [-1]
 
     @needs_cc
     @pytest.mark.parametrize("room, kept", [(0, 13), (-1, -1)])
     def test_exactly_full_slots_are_kept(self, monkeypatch, room, kept):
-        monkeypatch.setattr(_kernel, "parts", lambda work: 1)
         monkeypatch.setattr(experiments, "_kept_capacity", lambda mean: int(mean) + room)
-        returns = self.spy(monkeypatch)
+        _, returns = self.spy(monkeypatch)
         assert_same_draws(3, [4, 0, 9], [1.0, 0.3, 1.0])
         assert returns == [kept]
 

@@ -1,8 +1,7 @@
 """The row-split kernels (ksets_read, ksets_dense, ksets_check and
 ksets_scatter): every split gives the bytes, decline or error of one part
 and of the numpy reference, the parts rule, and the threads a call leaves
-behind, for them, the restarts and the draw scan (ksets_draws, whose splits
-tests/test_experiments.py compares with numpy's stream)."""
+behind."""
 
 import contextlib
 import os
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksetsplus import _kernel, cli, experiments
+from ksetsplus import _kernel, cli
 from ksetsplus import io as kio
 from ksetsplus.engine import RunConfig, _point_to_set, _point_to_set_reference, run
 from ksetsplus.errors import KsetsError
@@ -275,14 +274,12 @@ def test_benchmark_inputs_split_and_the_signed_benchmark_does_not(monkeypatch):
     assert _kernel.parts(1_000_000) >= 2  # sparse_edges
     assert _kernel.parts(7_379_337) >= 2  # the latency CSV's bytes
     assert _kernel.parts(230_000) == 1
-    assert _kernel.parts(1_999_000) >= 2  # the signed benchmark's pair draws
 
 
 @needs_cc
-def test_signed_benchmark_splits_its_draws_and_restarts_only(monkeypatch, capsys):
+def test_signed_benchmark_splits_its_restarts_only(monkeypatch, capsys):
     """Every row scan of the signed benchmark runs in one part; only its
-    1,999,000 pair draws and its five restarts, 5 m steps of work in all,
-    run on threads."""
+    five restarts, 5 m steps of work in all, run on threads."""
     graph = sbm_generate(SbmParams(n=2000, c=10, diff=5, p=0.1, seed=7))
     restarts = 5 * similarity_from_signed(graph).m
     monkeypatch.setattr(_kernel, "_cpu_count", lambda: 8)
@@ -292,17 +289,14 @@ def test_signed_benchmark_splits_its_draws_and_restarts_only(monkeypatch, capsys
     argv = ["sbm", "--n", "2000", "--c", "10", "--diff", "5", "--p", "0.1"]
     assert cli.main([*argv, "--k", "2", "--restarts", "5", "--seed", "7"]) == 0
     capsys.readouterr()
-    assert chosen.pop(2 * 499_500 + 1000 * 1000) == 7
     assert chosen.pop(restarts) == 4
     assert chosen and set(chosen.values()) == {1}
 
 
 def run_every_split_routine():
-    """Each split routine once, through its Python caller, a run's
-    restarts, which split by restart, and a draw scan of 600k draws."""
+    """Each split routine once, through its Python caller, and a run's
+    restarts, which split by restart."""
     library = _kernel.load()
-    kept = experiments._pair_draws(np.random.default_rng(0), (300_000, 300_000), (0.01, 0.0))
-    assert len(kept[0]) > 0 and len(kept[1]) == 0
     text = np.frombuffer(b"# h\n0 1 0.5\n1 2 1.5\n\n2 0 -1\n", np.uint8)
     assert kio._read_text(library, text, 0, False).shape == (3, 3)
     rng = np.random.default_rng(0)
