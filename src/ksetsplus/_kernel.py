@@ -8,8 +8,9 @@ engine and ``verify`` derive every set sum), ``ksets_build`` (the CSR
 arrays of a measure from its (i, j, value) triples, written in place into
 the result's arrays, or the first bad index, repeated or conflicting
 pair), ``ksets_dense`` (the CSR arrays of a dense matrix's nonzeros, or of
-those of its mean with its transpose), ``ksets_check`` (the measure
-constructor's checks of CSR arrays and its diagonal, in one scan),
+those of its mean with its transpose, built in the matrix itself, which
+becomes the data array), ``ksets_check`` (the measure constructor's
+checks of CSR arrays and its diagonal, in one scan),
 ``ksets_two_step`` (the CSR arrays of the signed benchmark's similarity
 A + 0.5 A^2 from its signed edges), ``ksets_read`` (an edge list or
 dense CSV of a strict grammar into the float64 table np.loadtxt would
@@ -20,8 +21,9 @@ stream, that fall below their probability).
 Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
 ``ksets_scatter``, split their rows across ``parts(work)`` threads inside
 the one C call, each part writing only its own rows, so every split gives
-the same bytes; one part starts no thread. ``ksets_restarts`` runs a batch
-of restarts, one per thread, each in its own rows of the caller's arrays.
+the same bytes; one part starts no thread. ``ksets_dense`` splits its
+sizing call only. ``ksets_restarts`` runs a batch of restarts, one per
+thread, each in its own rows of the caller's arrays.
 ``ksets_draws`` scans its one generator stream on the calling thread.
 The library is compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
@@ -93,9 +95,9 @@ _ROUTINES = {
     ),
     "ksets_dense": (
         ctypes.c_int64,
-        # n, a, mean, cap, indptr, indices, data, parts
-        [ctypes.c_int64, _F64, ctypes.c_int64, ctypes.c_int64]
-        + [_I64_OUT, _I64_OUT, _F64_OUT, ctypes.c_int64],
+        # n, a, mean, cap, indptr, indices, parts
+        [ctypes.c_int64, _F64_OUT, ctypes.c_int64, ctypes.c_int64]
+        + [_I64_OUT, _I64_OUT, ctypes.c_int64],
     ),
     "ksets_check": (
         ctypes.c_int64,

@@ -180,11 +180,15 @@ def cmd_sbm(args) -> int:
     if args.k != 2:
         raise KOutOfRange(f"edge accuracy is defined for k=2, got k={args.k}")
     params = SbmParams(n=args.n, c=args.c, diff=args.diff, p=args.p, seed=args.seed)
+    config = _run_config(args)
+    # Every setting is checked before the graph is drawn, probabilities first.
+    params.probabilities()
+    config.validate(args.n)
     graph = sbm_generate(params)
     if args.out_graph:
         io.write_signed_edges(args.out_graph, graph)
     similarity = similarity_from_signed(graph)
-    result = run(similarity, _run_config(args))
+    result = run(similarity, config)
     accuracy = edge_accuracy(graph, result.partition, reference=args.reference)
     print(
         json.dumps(

@@ -59,8 +59,9 @@ def _read_exact(path, dense: bool, skip: int = 0) -> np.ndarray | None:
 def _read_text(library, text: np.ndarray, skip: int, dense: bool) -> np.ndarray | None:
     """ksets_read twice: the first call reads the first row only and bounds
     the table by the text's lines (and by its bytes: a value takes two, the
-    last one one), the second fills the table. Both split the text across
-    _kernel.parts of its bytes."""
+    last one one), the second fills the table, which is then shrunk in
+    place, so that it owns its memory and a dense builder can take it over.
+    Both calls split the text across _kernel.parts of its bytes."""
     from ._kernel import parts
 
     args, shape = (text, text.size, skip, dense), np.zeros(2, dtype=np.int64)
@@ -71,8 +72,8 @@ def _read_text(library, text: np.ndarray, skip: int, dense: bool) -> np.ndarray 
     out = np.empty(min(lines * cols, (text.size + 1) // 2))
     if library.ksets_read(*args, out, out.size, shape, split) != 0:
         return None
-    rows, cols = shape.tolist()
-    return out[: rows * cols].reshape(rows, cols)
+    out.resize(shape.tolist(), refcheck=False)
+    return out
 
 
 def _read_loadtxt(path, dense: bool, skip: int = 0) -> np.ndarray:
@@ -218,10 +219,11 @@ def load_dense_csv(
         raise ArityMismatch(
             f"{path}: {len(labels)} header labels for {matrix.shape[0]} rows"
         )
+    # The builders take the table over: it becomes the measure's data array.
     if average_asymmetric:
-        measure = symmetrize(matrix, kind=kind)
+        measure = symmetrize(matrix, kind=kind, copy=False)
     else:
-        measure = from_dense(matrix, kind=kind)
+        measure = from_dense(matrix, kind=kind, copy=False)
     return measure, DataSet(measure.n, labels)
 
 

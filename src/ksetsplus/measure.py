@@ -376,19 +376,25 @@ def _build_from_triples_reference(
     return _from_keys(n, kind, keys[order], vals[order])
 
 
-def from_dense(matrix, kind: str = "similarity") -> SparseSymmetricMeasure:
+def from_dense(
+    matrix, kind: str = "similarity", *, copy: bool = True
+) -> SparseSymmetricMeasure:
     """Build a measure from an already-symmetric dense matrix.
 
     Zeros are dropped from storage. Raises AsymmetricDuplicate if the
     matrix is not exactly symmetric (use :func:`symmetrize` to average
     an asymmetric one); the measure's own errors, such as NonFiniteValue,
-    come first. The compiled ``ksets_dense`` (see ``_kernel``) reads the
-    matrix in one row-major scan; when no kernel can be built,
-    ``_from_dense_reference`` does.
+    come first. The compiled ``ksets_dense`` (see ``_kernel``) builds the
+    measure inside a C-order copy of the matrix, which becomes its data
+    array; when no kernel can be built, ``_from_dense_reference`` does.
+    With copy=False a C-order float64 array that owns its writeable memory
+    is taken over instead of copied: it is left as the measure's data
+    array, so the caller must not use it again.
     """
     a = _square(matrix)
-    g = _from_dense_unchecked(a, kind)
-    if not np.array_equal(a, a.T):
+    symmetric = np.array_equal(a, a.T)  # before the build consumes a
+    g = _from_dense_unchecked(a, kind, copy=copy)
+    if not symmetric:
         raise AsymmetricDuplicate("dense input is not symmetric")
     return g
 
@@ -401,32 +407,37 @@ def _square(matrix) -> np.ndarray:
 
 
 def _from_dense_unchecked(
-    a: np.ndarray, kind: str, mean: bool = False
+    a: np.ndarray, kind: str, mean: bool = False, copy: bool = False
 ) -> SparseSymmetricMeasure:
     """CSR measure of a square matrix's nonzeros, read in row-major order,
     or with mean of those of (a + a.T) / 2.0.
 
-    ``ksets_dense`` sizes the arrays in a first call and fills them in a
-    second, so that beyond the matrix only the result's arrays are
-    allocated.
+    ``ksets_dense`` builds it inside a: a first call (with mean, after
+    averaging a with its transpose in place) sizes the arrays, and a second
+    moves the nonzeros to a's front, which is then shrunk in place to the
+    m entries of the data array. So unless copy is set, a C-order float64
+    array that owns its writeable memory is taken over; any other a is
+    copied first. Beyond a, only indptr, indices and diag are allocated.
     """
     from ._kernel import load, parts
 
     library = load()
     if library is None:
         return _from_dense_reference(a, kind, mean)
+    if copy:
+        a = np.array(a, dtype=np.float64, order="C")
+    else:
+        a = np.require(a, np.float64, ["C_CONTIGUOUS", "OWNDATA", "WRITEABLE"])
     n = a.shape[0]
-    a = np.ascontiguousarray(a, dtype=np.float64)
     indptr = np.empty(n + 1, dtype=np.int64)
-    split = parts(n * n)
     m = library.ksets_dense(
-        n, a, mean, 0, indptr, np.empty(0, dtype=np.int64), np.empty(0), split
+        n, a, mean, 0, indptr, np.empty(0, dtype=np.int64), parts(n * n)
     )
     indices = np.empty(m, dtype=np.int64)
-    data = np.empty(m)
     if m:
-        library.ksets_dense(n, a, mean, m, indptr, indices, data, split)
-    return SparseSymmetricMeasure(n, kind, indptr, indices, data)
+        library.ksets_dense(n, a, mean, m, indptr, indices, 1)
+    a.resize(m, refcheck=False)
+    return SparseSymmetricMeasure(n, kind, indptr, indices, a)
 
 
 def _from_dense_reference(
@@ -449,17 +460,20 @@ def _from_keys(n: int, kind: str, keys: np.ndarray, values) -> SparseSymmetricMe
     return SparseSymmetricMeasure(n, kind, indptr, keys % n, values)
 
 
-def symmetrize(raw, kind: str = "similarity") -> SparseSymmetricMeasure:
+def symmetrize(
+    raw, kind: str = "similarity", *, copy: bool = True
+) -> SparseSymmetricMeasure:
     """Average a raw square matrix with its transpose and sparsify.
 
     The output value at (i, j) is (raw[i][j] + raw[j][i]) / 2, which
     is how an asymmetric latency matrix is turned into a semi-metric.
     An overflow to inf, or inf + -inf = nan, raises NonFiniteValue. The
-    compiled ``ksets_dense`` averages and sparsifies in one row-major
-    scan, with no n-by-n mean; when no kernel can be built,
-    ``_from_dense_reference`` does.
+    compiled ``ksets_dense`` averages and sparsifies inside a C-order copy
+    of raw, which becomes the measure's data array; when no kernel can be
+    built, ``_from_dense_reference`` does. copy=False takes raw over as
+    :func:`from_dense` does.
     """
-    return _from_dense_unchecked(_square(raw), kind, mean=True)
+    return _from_dense_unchecked(_square(raw), kind, mean=True, copy=copy)
 
 
 def measure_of_sets(g: SparseSymmetricMeasure, s1, s2) -> float:

@@ -409,6 +409,25 @@ class TestOtherCommands:
     def test_sbm_invalid_probability_is_exit_3(self):
         assert main(["sbm", "--n", "200", "--c", "8", "--p", "0.9"]) == 3
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--restarts", "0"], "restarts=0 must be >= 1"),
+            (["--max-passes", "0"], "max_passes=0 must be >= 1"),
+            (["--p", "0.9", "--restarts", "0"], "p=0.9 outside [0, 0.5]"),
+        ],
+        ids=["restarts", "max_passes", "probability_first"],
+    )
+    def test_sbm_bad_run_setting_is_exit_3_before_drawing(
+        self, monkeypatch, capsys, args, message
+    ):
+        monkeypatch.setattr(cli, "sbm_generate", forbidden)
+        monkeypatch.setattr(cli, "similarity_from_signed", forbidden)
+        assert main(["sbm", "--n", "100", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_sbm_out_of_memory_in_the_two_step_build_is_exit_2(
         self, monkeypatch, capsys
     ):

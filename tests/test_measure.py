@@ -24,6 +24,7 @@ from ksetsplus.experiments import (
     sbm_generate,
     similarity_from_signed,
 )
+from ksetsplus.io import load_dense_csv
 from ksetsplus.measure import (
     KINDS,
     DataSet,
@@ -238,6 +239,30 @@ class TestDenseBuildOracle:
             patch.setattr(_kernel, "load", lambda: None)
             expected = dense_outcome(build, a, kind)
         assert dense_outcome(build, a, kind) == expected
+
+    @pytest.mark.parametrize("builder", ["from_dense", "symmetrize"])
+    @given(case=dense_matrices())
+    @settings(max_examples=100, deadline=None, suppress_health_check=FIXTURE_ONCE)
+    def test_public_builders_leave_their_input_alone(self, build_path, builder, case):
+        build = DENSE_BUILDERS[builder][0]
+        a, kind = case
+        before = (a.shape, a.strides, a.tobytes())
+        dense_outcome(build, a, kind)
+        assert (a.shape, a.strides, a.tobytes()) == before
+
+
+@needs_cc
+@pytest.mark.parametrize("builder", ["from_dense", "symmetrize"])
+def test_copy_false_takes_an_owned_table_over(builder):
+    build = DENSE_BUILDERS[builder][0]
+    table = np.array([[0.0, 2.0], [2.0, 0.0]])
+    g = build(table, copy=False)
+    assert g.data is table and table.tolist() == [2.0, 2.0]
+    # A table that does not own its memory is copied first.
+    view = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0]])[:, :2]
+    g = build(view, copy=False)
+    assert view.tolist() == [[1.0, 2.0], [2.0, 0.0]]
+    assert g.data.tolist() == [1.0, 2.0, 2.0] and g.data.base is None
 
 
 class TestDenseBuildPaths:
@@ -964,10 +989,12 @@ def test_hub_rows_at_the_sort_switch_build_like_the_reference(name):
 
 
 @needs_cc
-@pytest.mark.parametrize("builder", ["build_from_triples", "symmetrize"])
-def test_compiled_builds_peak_at_their_result(builder):
+@pytest.mark.parametrize("builder", ["build_from_triples", "symmetrize", "load_dense_csv"])
+def test_compiled_builds_peak_at_their_result(builder, tmp_path):
     # Beyond the input, a build allocates its result's arrays and nothing
-    # else but small objects: no record buffer, copies or row index.
+    # else but small objects: no record buffer, copies or row index. A
+    # dense build's table becomes its data array, and the loader's parsed
+    # table is its input.
     import tracemalloc
 
     rng = np.random.default_rng(3)
@@ -980,12 +1007,20 @@ def test_compiled_builds_peak_at_their_result(builder):
         def build():
             return build_from_triples(n, table)
 
-    else:
+    elif builder == "symmetrize":
         n = 300
         raw = rng.uniform(1.0, 2.0, size=(n, n))
 
         def build():
             return symmetrize(raw)
+
+    else:
+        n = 300
+        path = tmp_path / "raw.csv"
+        np.savetxt(path, rng.uniform(1.0, 2.0, size=(n, n)), delimiter=",")
+
+        def build():
+            return load_dense_csv(path, average_asymmetric=True)[0]
 
     assert _kernel.load() is not None
     build()
