@@ -18,13 +18,13 @@ return, or a refusal), ``ksets_format`` (an int64 id array as the
 partition writer's ``i<TAB>id`` lines) and ``ksets_draws`` (the positions
 of the signed benchmark's pair draws, from numpy's PCG64 ``random()``
 stream, that fall below their probability).
-Four of them, ``ksets_read``, ``ksets_dense``, ``ksets_check`` and
-``ksets_scatter``, split their rows across ``parts(work)`` threads inside
-the one C call, each part writing only its own rows, so every split gives
-the same bytes; one part starts no thread. ``ksets_dense`` splits its
-sizing call only. ``ksets_restarts`` runs a batch of restarts, one per
-thread, each in its own rows of the caller's arrays.
-``ksets_draws`` scans its one generator stream on the calling thread.
+Three of them, ``ksets_read``, ``ksets_check`` and ``ksets_scatter``,
+split their rows across ``parts(work)`` threads inside the one C call,
+each part writing only its own rows, so every split gives the same bytes;
+one part starts no thread. ``ksets_restarts`` runs a batch of restarts,
+one per thread, each in its own rows of the caller's arrays.
+``ksets_dense`` works in its table, and ``ksets_draws`` scans its one
+generator stream, on the calling thread.
 The library is compiled once with the system C compiler and cached under
 ``$XDG_CACHE_HOME/ksetsplus`` (default ``~/.cache/ksetsplus``). The file
 name carries a key, a sha256 of the source and the compiler command, and
@@ -95,9 +95,9 @@ _ROUTINES = {
     ),
     "ksets_dense": (
         ctypes.c_int64,
-        # n, a, mean, cap, indptr, indices, parts
+        # n, a, mean, cap, indptr, indices
         [ctypes.c_int64, _F64_OUT, ctypes.c_int64, ctypes.c_int64]
-        + [_I64_OUT, _I64_OUT, ctypes.c_int64],
+        + [_I64_OUT, _I64_OUT],
     ),
     "ksets_check": (
         ctypes.c_int64,

@@ -25,19 +25,19 @@
  * measure's CSR arrays passed ksets_check, and that every edge's endpoints
  * are integers in [0, n); ksets_build checks its triples' indices itself.
  *
- * Four routines split their rows across up to `parts` threads (at most
- * KSETS_MAX_PARTS): ksets_read, ksets_dense's sizing call, ksets_check and
- * ksets_scatter. Each part runs the routine's one row-range body on its
- * own rows and writes only its own rows of the output (ksets_dense's mean
- * only the cells of its rows' pairs), so the result is the same bytes
+ * Three routines split their rows across up to `parts` threads (at most
+ * KSETS_MAX_PARTS): ksets_read, ksets_check and ksets_scatter. Each part
+ * runs the routine's one row-range body on its own rows and writes only
+ * its own rows of the output, so the result is the same bytes
  * for every parts; parts = 1 runs the body on the calling thread and
  * starts no thread. ksets_restarts runs each of its restarts on a thread
  * of its own, in its own rows of every array, so a restart's results do
  * not depend on the others; a single restart splits its table scatters as
  * ksets_scatter does. ksets_pass (moves in visiting order), ksets_build (a
- * scatter across rows), ksets_dense's filling call, ksets_two_step and
- * ksets_format (each row's or line's offset depends on those before it)
- * and ksets_draws (one generator stream) stay on one thread.
+ * scatter across rows), ksets_dense (its mean writes cells of later rows,
+ * and each row's offset depends on the rows before it), ksets_two_step and
+ * ksets_format (each line's offset depends on the lines before it) and
+ * ksets_draws (one generator stream) stay on one thread.
  */
 #include <math.h>
 #include <stdint.h>
@@ -586,87 +586,47 @@ int64_t ksets_check(int64_t n, const int64_t *indptr, const int64_t *indices,
     return 0;
 }
 
-/* The first row of part t of parts (t = parts gives n) when row i owns the
- * n - i cells (i, j >= i) and the parts hold about equal cell counts. */
-static int64_t pair_split(int64_t n, int64_t t, int64_t parts)
-{
-    int64_t target = n * (n + 1) / 2 * t / parts, lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (mid * n - mid * (mid - 1) / 2 < target)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-struct dense_job {
-    int64_t n, parts;
-    double *a;
-    int64_t *indptr;
-};
-
-/* The mean of part t's cells (i, j >= i) and their mirrors, written to
- * both: the part of row i is the only one to touch them. */
-static void mean_rows(void *context, int64_t t)
-{
-    const struct dense_job *c = context;
-    int64_t n = c->n, hi = pair_split(n, t + 1, c->parts);
-    double *a = c->a;
-    for (int64_t i = pair_split(n, t, c->parts); i < hi; i++)
-        for (int64_t j = i; j < n; j++)
-            a[i * n + j] = a[j * n + i] = (a[i * n + j] + a[j * n + i]) / 2.0;
-}
-
-static void count_rows(void *context, int64_t t)
-{
-    const struct dense_job *c = context;
-    int64_t n = c->n, lo = n * t / c->parts, hi = n * (t + 1) / c->parts;
-    for (int64_t i = lo; i < hi; i++) {
-        const double *row = c->a + i * n;
-        int64_t count = 0;
-        for (int64_t j = 0; j < n; j++)
-            count += row[j] != 0.0;
-        c->indptr[i + 1] = count;
-    }
-}
-
 /* The CSR arrays of the nonzeros of the C-contiguous n-by-n table a, built
- * in a itself, which becomes the data array. A call with cap 0 sizes them:
- * with mean it first sets a[i][j] and a[j][i] to (a[i][j] + a[j][i]) / 2.0,
- * numpy's operation order, so an overflow gives inf and inf + -inf gives
- * nan as (a + a.T) / 2.0 does (the diagonal too: (a[i][i] + a[i][i]) /
- * 2.0), the rows split into parts of about equal pair counts; after the
- * join it counts each row's nonzeros into indptr (n + 1), the parts
- * holding equal row counts, and returns m. A second call with cap m
- * moves the nonzeros to the front of a in row-major order, on the calling
- * thread, each with its column in indices (room for cap): every write
- * lands at or below the cell it reads. Exact zeros of either sign are
- * dropped; NaNs stay for the measure's constructor to reject. */
+ * in a itself, which becomes the data array, on the calling thread. A call
+ * with cap 0 sizes them: it counts each row's nonzeros into indptr (n + 1)
+ * and returns m. With mean it first sets each of row i's cells (i, j >= i)
+ * and its mirror to (a[i][j] + a[j][i]) / 2.0, numpy's operation order, so
+ * an overflow gives inf and inf + -inf gives nan as (a + a.T) / 2.0 does
+ * (the diagonal too: (a[i][i] + a[i][i]) / 2.0); the cells (i, j < i) were
+ * set by the rows before, so row i is final when it is counted. A second
+ * call with cap m moves the nonzeros to the front of a in row-major order,
+ * each with its column in indices (room for cap): every write lands at or
+ * below the cell it reads. Exact zeros of either sign are dropped; NaNs
+ * stay for the measure's constructor to reject. */
 int64_t ksets_dense(int64_t n, double *a, int64_t mean, int64_t cap,
-                    int64_t *indptr, int64_t *indices, int64_t parts)
+                    int64_t *indptr, int64_t *indices)
 {
+    int64_t q = 0;
     if (cap) {
-        int64_t q = 0;
         for (int64_t i = 0; i < n; i++)
-            for (int64_t j = 0; j < n; j++) {
-                double v = a[i * n + j];
-                if (v != 0.0 && q < cap) {
+            for (int64_t j = 0; j < n && q < cap; j++)
+                if (a[i * n + j] != 0.0) {
                     indices[q] = j;
-                    a[q++] = v;
+                    a[q++] = a[i * n + j];
                 }
-            }
         return q;
     }
-    struct dense_job job = {n, clamp_parts(parts), a, indptr};
-    if (mean)
-        run_parts(job.parts, mean_rows, &job);
-    run_parts(job.parts, count_rows, &job);
     indptr[0] = 0;
-    for (int64_t i = 0; i < n; i++)
-        indptr[i + 1] += indptr[i];
-    return indptr[n];
+    for (int64_t i = 0; i < n; i++) {
+        double *row = a + i * n;
+        if (mean)
+            for (int64_t j = i; j < n; j++) {
+                /* Two stores, not a chained assignment: at j = i they are
+                 * the same cell, which C may not write twice unsequenced. */
+                double v = (row[j] + a[j * n + i]) / 2.0;
+                row[j] = v;
+                a[j * n + i] = v;
+            }
+        for (int64_t j = 0; j < n; j++)
+            q += row[j] != 0.0;
+        indptr[i + 1] = q;
+    }
+    return q;
 }
 
 /* The index of the lowest set bit of a nonzero word, where the compiler has

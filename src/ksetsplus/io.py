@@ -221,9 +221,9 @@ def load_dense_csv(
         )
     # The builders take the table over: it becomes the measure's data array.
     if average_asymmetric:
-        measure = symmetrize(matrix, kind=kind, copy=False)
+        measure = symmetrize(matrix, kind=kind, _take=True)
     else:
-        measure = from_dense(matrix, kind=kind, copy=False)
+        measure = from_dense(matrix, kind=kind, _take=True)
     return measure, DataSet(measure.n, labels)
 
 

@@ -377,7 +377,7 @@ def _build_from_triples_reference(
 
 
 def from_dense(
-    matrix, kind: str = "similarity", *, copy: bool = True
+    matrix, kind: str = "similarity", *, _take: bool = False
 ) -> SparseSymmetricMeasure:
     """Build a measure from an already-symmetric dense matrix.
 
@@ -385,15 +385,16 @@ def from_dense(
     matrix is not exactly symmetric (use :func:`symmetrize` to average
     an asymmetric one); the measure's own errors, such as NonFiniteValue,
     come first. The compiled ``ksets_dense`` (see ``_kernel``) builds the
-    measure inside a C-order copy of the matrix, which becomes its data
-    array; when no kernel can be built, ``_from_dense_reference`` does.
-    With copy=False a C-order float64 array that owns its writeable memory
-    is taken over instead of copied: it is left as the measure's data
-    array, so the caller must not use it again.
+    measure inside a C-order float64 copy of the whole matrix, n * n
+    values whatever its number of nonzeros, which is shrunk in place to
+    the measure's data array; the matrix itself is never modified. When
+    no kernel can be built, ``_from_dense_reference`` does.
     """
+    # _take (io.load_dense_csv only): build inside the matrix instead of a
+    # copy; the loader's parsed table has no other reference or view.
     a = _square(matrix)
     symmetric = np.array_equal(a, a.T)  # before the build consumes a
-    g = _from_dense_unchecked(a, kind, copy=copy)
+    g = _from_dense_unchecked(a, kind, copy=not _take)
     if not symmetric:
         raise AsymmetricDuplicate("dense input is not symmetric")
     return g
@@ -416,10 +417,11 @@ def _from_dense_unchecked(
     averaging a with its transpose in place) sizes the arrays, and a second
     moves the nonzeros to a's front, which is then shrunk in place to the
     m entries of the data array. So unless copy is set, a C-order float64
-    array that owns its writeable memory is taken over; any other a is
-    copied first. Beyond a, only indptr, indices and diag are allocated.
+    array that owns its writeable memory is taken over, and no view of it
+    may exist; any other a is copied first. Beyond a (or its copy), only
+    indptr, indices and diag are allocated.
     """
-    from ._kernel import load, parts
+    from ._kernel import load
 
     library = load()
     if library is None:
@@ -430,12 +432,10 @@ def _from_dense_unchecked(
         a = np.require(a, np.float64, ["C_CONTIGUOUS", "OWNDATA", "WRITEABLE"])
     n = a.shape[0]
     indptr = np.empty(n + 1, dtype=np.int64)
-    m = library.ksets_dense(
-        n, a, mean, 0, indptr, np.empty(0, dtype=np.int64), parts(n * n)
-    )
+    m = library.ksets_dense(n, a, mean, 0, indptr, np.empty(0, dtype=np.int64))
     indices = np.empty(m, dtype=np.int64)
     if m:
-        library.ksets_dense(n, a, mean, m, indptr, indices, 1)
+        library.ksets_dense(n, a, mean, m, indptr, indices)
     a.resize(m, refcheck=False)
     return SparseSymmetricMeasure(n, kind, indptr, indices, a)
 
@@ -461,19 +461,19 @@ def _from_keys(n: int, kind: str, keys: np.ndarray, values) -> SparseSymmetricMe
 
 
 def symmetrize(
-    raw, kind: str = "similarity", *, copy: bool = True
+    raw, kind: str = "similarity", *, _take: bool = False
 ) -> SparseSymmetricMeasure:
     """Average a raw square matrix with its transpose and sparsify.
 
     The output value at (i, j) is (raw[i][j] + raw[j][i]) / 2, which
     is how an asymmetric latency matrix is turned into a semi-metric.
     An overflow to inf, or inf + -inf = nan, raises NonFiniteValue. The
-    compiled ``ksets_dense`` averages and sparsifies inside a C-order copy
-    of raw, which becomes the measure's data array; when no kernel can be
-    built, ``_from_dense_reference`` does. copy=False takes raw over as
-    :func:`from_dense` does.
+    compiled ``ksets_dense`` averages and sparsifies inside a C-order
+    float64 copy of the whole of raw, as :func:`from_dense` does (and
+    ``_take`` is its keyword too); when no kernel can be built,
+    ``_from_dense_reference`` does.
     """
-    return _from_dense_unchecked(_square(raw), kind, mean=True, copy=copy)
+    return _from_dense_unchecked(_square(raw), kind, mean=True, copy=not _take)
 
 
 def measure_of_sets(g: SparseSymmetricMeasure, s1, s2) -> float:

@@ -246,21 +246,22 @@ class TestDenseBuildOracle:
     def test_public_builders_leave_their_input_alone(self, build_path, builder, case):
         build = DENSE_BUILDERS[builder][0]
         a, kind = case
-        before = (a.shape, a.strides, a.tobytes())
+        column = a[:, 0]  # a view made before the call stays valid
+        before = (a.shape, a.strides, a.tobytes(), column.tobytes())
         dense_outcome(build, a, kind)
-        assert (a.shape, a.strides, a.tobytes()) == before
+        assert (a.shape, a.strides, a.tobytes(), column.tobytes()) == before
 
 
 @needs_cc
 @pytest.mark.parametrize("builder", ["from_dense", "symmetrize"])
-def test_copy_false_takes_an_owned_table_over(builder):
+def test_the_loader_keyword_takes_an_owned_table_over(builder):
     build = DENSE_BUILDERS[builder][0]
     table = np.array([[0.0, 2.0], [2.0, 0.0]])
-    g = build(table, copy=False)
+    g = build(table, _take=True)
     assert g.data is table and table.tolist() == [2.0, 2.0]
     # A table that does not own its memory is copied first.
     view = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, 0.0]])[:, :2]
-    g = build(view, copy=False)
+    g = build(view, _take=True)
     assert view.tolist() == [[1.0, 2.0], [2.0, 0.0]]
     assert g.data.tolist() == [1.0, 2.0, 2.0] and g.data.base is None
 

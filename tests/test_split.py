@@ -1,7 +1,6 @@
-"""The row-split kernels (ksets_read, ksets_dense, ksets_check and
-ksets_scatter): every split gives the bytes, decline or error of one part
-and of the numpy reference, the parts rule, and the threads a call leaves
-behind."""
+"""The row-split kernels (ksets_read, ksets_check and ksets_scatter):
+every split gives the bytes, decline or error of one part and of the numpy
+reference, the parts rule, and the threads a call leaves behind."""
 
 import contextlib
 import os
@@ -138,42 +137,6 @@ def test_read_splits_a_table_bounded_by_its_bytes(text, dense):
     assert outcomes == [outcomes[0]] * len(PARTS)
 
 
-# --- ksets_dense --------------------------------------------------------
-
-SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308)
-
-
-@st.composite
-def square_tables(draw):
-    """(a, mean, kind): tables with zeros of both signs, NaNs, infinities and
-    values whose mean overflows, whole rows of zeros now and then."""
-    n = draw(st.integers(1, 20))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.uniform(-2.0, 2.0, size=(n, n))
-    a[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
-    a[rng.random(n) < 0.2] = 0.0
-    for value in draw(st.lists(st.sampled_from(SPECIAL), max_size=3)):
-        a[rng.random((n, n)) < 0.1] = value
-    return a, draw(st.booleans()), draw(st.sampled_from(KINDS))
-
-
-def dense_outcome(a, mean, kind, build=_from_dense_unchecked):
-    try:
-        g = build(a.copy(), kind, mean)  # the compiled build consumes its table
-    except KsetsError as exc:
-        return type(exc), str(exc)
-    return [g.indptr.tobytes(), g.indices.tobytes(), g.data.tobytes()]
-
-
-@needs_cc
-@given(square_tables())
-@settings(max_examples=300, deadline=None)
-def test_dense_splits_match_one_part_and_reference(case):
-    outcomes = per_parts(dense_outcome, *case)
-    assert outcomes == [outcomes[0]] * len(PARTS)
-    assert outcomes[0] == reference(dense_outcome, *case, _from_dense_reference)
-
-
 # --- ksets_check --------------------------------------------------------
 
 CHECK_VALUES = [1.0, 2.5, 0.0, -1.0, np.nan, np.inf, -np.inf]
@@ -277,7 +240,7 @@ def test_benchmark_inputs_split_and_the_signed_benchmark_does_not(monkeypatch):
     """Both 1M-entry benchmark measures split; the signed benchmark's
     similarity (n = 2000, m about 216k) runs on one thread."""
     monkeypatch.setattr(_kernel, "_cpu_count", lambda: 8)
-    assert _kernel.parts(999_000) >= 2  # latency_dense's distance and n * n
+    assert _kernel.parts(999_000) >= 2  # latency_dense's distance
     assert _kernel.parts(1_000_000) >= 2  # sparse_edges
     assert _kernel.parts(7_379_337) >= 2  # the latency CSV's bytes
     assert _kernel.parts(230_000) == 1
@@ -308,7 +271,7 @@ def run_every_split_routine():
     assert kio._read_text(library, text, 0, False).shape == (3, 3)
     rng = np.random.default_rng(0)
     upper = np.triu(rng.uniform(0.0, 1.0, size=(40, 40)), 1)
-    g = _from_dense_unchecked(upper + upper.T, "distance", True)  # dense, check
+    g = _from_dense_unchecked(upper + upper.T, "distance", True)  # check
     assert _point_to_set(g, rng.integers(0, 3, size=40), 3).shape == (120,)
     assert run(g, RunConfig(k=3, restarts=5)).restart in range(5)
 
@@ -356,7 +319,6 @@ def test_more_parts_than_rows(parts):
     cases = [
         (read_outcome, one_line),
         (read_outcome, ("# c\n\n0 1 2", False, 0)),
-        (dense_outcome, (np.array([[2.0]]), True, "similarity")),
         (check_outcome, (1, "distance", [0, 1], [0], [1.5])),
     ]
     g = _from_dense_reference(np.array([[2.0]]), "similarity", False)
