@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     # Every parameter is checked before the first graph is drawn.
     for n in args.n_list:
-        RunConfig(k=args.k, max_passes=args.max_passes).validate(n)
+        RunConfig(k=args.k, seed=args.seed, max_passes=args.max_passes).validate(n)
     if not (np.isfinite(args.avg_degree) and args.avg_degree >= 0.0):
         raise InvalidProbability(
             f"avg_degree={args.avg_degree} must be finite and >= 0"
@@ -248,6 +248,10 @@ def _parse_grid(spec: str) -> list[float]:
         value = start
         while value <= stop + 1e-12:
             out.append(round(value, 10))
+            if value + step == value:
+                raise ValueError(
+                    f"grid {spec!r}: step {step!r} does not advance past {value!r}"
+                )
             value += step
         if not out:
             raise ValueError(f"grid {spec!r} is empty: start is above stop")

@@ -55,6 +55,8 @@ class RunConfig:
     def validate(self, n: int):
         if not 2 <= self.k <= n:
             raise KOutOfRange(f"k={self.k} outside [2, {n}]")
+        if self.seed < 0:
+            raise KOutOfRange(f"seed={self.seed} must be >= 0")
         if self.restarts < 1:
             raise KOutOfRange(f"restarts={self.restarts} must be >= 1")
         if self.max_passes < 1:

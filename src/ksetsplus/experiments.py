@@ -408,7 +408,7 @@ def accuracy_sweep(
         for p in p_grid:
             SbmParams(n, c, diff=diff, p=p, seed=seed).probabilities()
     if c_list and p_grid:
-        RunConfig(k=2, restarts=restarts, max_passes=max_passes).validate(n)
+        RunConfig(k=2, seed=seed, restarts=restarts, max_passes=max_passes).validate(n)
     rows = []
     for ci, c in enumerate(c_list):
         for pi, p in enumerate(p_grid):

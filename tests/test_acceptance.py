@@ -25,14 +25,10 @@ from ksetsplus.engine import (
 from ksetsplus.experiments import accuracy_sweep, random_sparse_similarity
 from ksetsplus.io import load_dense_csv
 from ksetsplus.measure import Partition
-from ksetsplus.transforms import (
-    check_shift_lemma,
-    dual_distance,
-    induced_cohesion,
-    lift_similarity,
-    sigma_min,
-)
+from ksetsplus.transforms import induced_cohesion, sigma_min
 from ksetsplus.verify import pairwise_isolation_check
+
+from oracles import check_shift_lemma, dual_distance, lift_similarity
 
 from conftest import (
     all_two_partition_assigns,

@@ -1,11 +1,18 @@
+import contextlib
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksetsplus import _kernel, cli, experiments, io, transforms
 from ksetsplus.cli import build_parser, main
@@ -84,6 +91,16 @@ class TestClusterCommand:
              "--output", str(tmp_path / "o.tsv")]
         )
         assert code == 3
+
+    def test_negative_seed_is_exit_3(self, tmp_path, edges3, capsys):
+        out = tmp_path / "o.tsv"
+        code = main(
+            ["cluster", "--input", edges3, "--k", "2", "--seed", "-1",
+             "--output", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: seed=-1 must be >= 0\n"
+        assert not out.exists()
 
     def test_missing_file_is_exit_2(self, tmp_path):
         code = main(
@@ -375,9 +392,10 @@ class TestOtherCommands:
             (["--avg-degree", "-3"], "avg_degree=-3.0 must be finite and >= 0"),
             (["--avg-degree", "nan"], "avg_degree=nan must be finite and >= 0"),
             (["--avg-degree", "inf"], "avg_degree=inf must be finite and >= 0"),
+            (["--seed", "-1"], "seed=-1 must be >= 0"),
         ],
         ids=["zero_passes", "k_one", "k_above_n", "negative_degree", "nan_degree",
-             "infinite_degree"],
+             "infinite_degree", "negative_seed"],
     )
     def test_bench_invalid_parameter_is_exit_3_before_drawing(
         self, monkeypatch, capsys, flags, message
@@ -415,8 +433,9 @@ class TestOtherCommands:
             (["--restarts", "0"], "restarts=0 must be >= 1"),
             (["--max-passes", "0"], "max_passes=0 must be >= 1"),
             (["--p", "0.9", "--restarts", "0"], "p=0.9 outside [0, 0.5]"),
+            (["--seed", "-1"], "seed=-1 must be >= 0"),
         ],
-        ids=["restarts", "max_passes", "probability_first"],
+        ids=["restarts", "max_passes", "probability_first", "negative_seed"],
     )
     def test_sbm_bad_run_setting_is_exit_3_before_drawing(
         self, monkeypatch, capsys, args, message
@@ -475,8 +494,10 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "spec",
-        ["0.1:0.2:0", "0.1:0.2:-0.05", "0.2:0.1:0.05", "0:inf:0.1", "0:0.2:nan"],
-        ids=["zero_step", "negative_step", "empty", "infinite_stop", "nan_step"],
+        ["0.1:0.2:0", "0.1:0.2:-0.05", "0.2:0.1:0.05", "0:inf:0.1", "0:0.2:nan",
+         "0.1:0.2:1e-18", "1e17:2e17:1"],
+        ids=["zero_step", "negative_step", "empty", "infinite_stop", "nan_step",
+             "step_below_spacing", "step_below_large_spacing"],
     )
     def test_malformed_grid_is_exit_2_before_generating(
         self, monkeypatch, capsys, spec
@@ -500,8 +521,9 @@ class TestOtherCommands:
             (["--c-list", "6,8,1000", "--p-grid", "0.05,0.1"], "derived p_in=2.513 outside [0, 1]"),
             (["--c-list", "6", "--p-grid", "0.1,0.7"], "p=0.7 outside [0, 0.5]"),
             (["--c-list", "6", "--p-grid", "0.1", "--restarts", "0"], "restarts=0 must be >= 1"),
+            (["--c-list", "6", "--p-grid", "0.1", "--seed", "-1"], "seed=-1 must be >= 0"),
         ],
-        ids=["late_rate", "late_crossover", "restarts"],
+        ids=["late_rate", "late_crossover", "restarts", "negative_seed"],
     )
     def test_bad_cell_is_exit_3_before_generating(self, monkeypatch, capsys, args, message):
         calls = []
@@ -574,7 +596,6 @@ def test_flags_the_format_ignores_are_exit_2(
 def test_distance_commands_build_no_dense_cohesion(tmp_path, edges3, monkeypatch):
     monkeypatch.setattr(SparseSymmetricMeasure, "to_dense", forbidden)
     monkeypatch.setattr(transforms, "induced_cohesion", forbidden)
-    monkeypatch.setattr(transforms, "lift_similarity", forbidden)
     monkeypatch.setattr(cli, "induced_cohesion", forbidden)
     part = tmp_path / "part.tsv"
     assert main(
@@ -735,3 +756,92 @@ def test_module_sbm_prints_what_main_prints(capsys):
     assert main(argv) == 0
     assert run.stdout == capsys.readouterr().out
     assert json.loads(run.stdout)["n_surviving"] > 0
+
+
+# A valid edge list and dense CSV for the exit-code property below; both
+# hold a similarity and a distance.
+_VALID_INPUTS = {
+    "edges": "0 1 2.5\n0 2 1\n1 2 0.5\n3 4 2\n3 5 1.5\n4 5 3\n2 3 0.25\n",
+    "dense": "0,1,2,3,4\n1,0,1.5,2.5,3\n2,1.5,0,1,2\n3,2.5,1,0,0.5\n4,3,2,0.5,0\n",
+}
+_BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "x", "", "1..5", "0x10", "--1", "1e", "+", "1_0", "٣"]
+
+
+@st.composite
+def _mutated(draw, text: str) -> bytes:
+    """text with one to three mutations: a token replaced by a non-finite
+    or malformed one, a line deleted, the tail cut off, or a byte changed."""
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["token", "delete", "truncate", "flip"]))
+        if op == "token":
+            spans = [m.span() for m in re.finditer(rb"[^\s,]+", data)]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                data[start:end] = draw(st.sampled_from(_BAD_TOKENS)).encode()
+        elif op == "delete":
+            lines = data.splitlines(keepends=True)
+            if lines:
+                del lines[draw(st.integers(0, len(lines) - 1))]
+            data = bytearray(b"".join(lines))
+        elif op == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+def _main_outcome(argv, reference: bool) -> tuple[int, str, str]:
+    """main's exit code, stdout and stderr, on the compiled routines or,
+    with reference set, with no kernel at all."""
+    out, err = StringIO(), StringIO()
+    no_kernel = mock.patch.object(_kernel, "load", lambda: None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with no_kernel if reference else contextlib.nullcontext():
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(code: int, err: str) -> None:
+    assert code in (2, 3) and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@given(data=st.data(), fmt=st.sampled_from(["edges", "dense"]),
+       kind=st.sampled_from(["similarity", "distance"]))
+@settings(max_examples=100, deadline=None)
+def test_mutated_inputs_exit_0_or_with_one_error_line_on_both_paths(data, fmt, kind):
+    """cluster exits 0 with a converged sidecar or 2/3 with one error line;
+    verify, on cluster's partition or else on one for the valid input,
+    exits 0, 1 or as cluster fails. The kernel and the references print
+    and write the same."""
+    text = data.draw(_mutated(_VALID_INPUTS[fmt]), label="input")
+    n = _VALID_INPUTS[fmt].count("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        source, fallback = Path(tmp, "input"), Path(tmp, "fallback.tsv")
+        source.write_bytes(text)
+        fallback.write_text("".join(f"{i}\t{i % 2}\n" for i in range(n)))
+        common = ["--input", str(source), "--format", fmt, "--kind", kind]
+        outcomes = []
+        for reference in (False, True):
+            part = Path(tmp, f"part-{reference}.tsv")
+            cluster = _main_outcome(["cluster", *common, "--k", "2", "--output", str(part)], reference)
+            code, _, err = cluster
+            written = None
+            if code == 0:
+                assert err == ""
+                assert json.loads(Path(f"{part}.json").read_text())["converged"] is True
+                written = part.read_bytes()
+            else:
+                _assert_one_error_line(code, err)
+            partition = part if code == 0 else fallback
+            verify = _main_outcome(["verify", *common, "--partition", str(partition)], reference)
+            code, _, err = verify
+            if code == 0:
+                assert err == ""
+            elif code == 1:
+                assert err == "verification FAILED\n"
+            else:
+                _assert_one_error_line(code, err)
+            outcomes.append((cluster, written, verify))
+        assert outcomes[0] == outcomes[1]

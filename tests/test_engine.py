@@ -27,7 +27,9 @@ from ksetsplus.measure import (
     build_from_triples,
     from_dense,
 )
-from ksetsplus.transforms import lift_similarity, sigma_min
+from ksetsplus.transforms import sigma_min
+
+from oracles import lift_similarity
 
 from conftest import (
     all_two_partition_assigns,

@@ -36,7 +36,9 @@ from ksetsplus.measure import (
     measure_of_sets,
     symmetrize,
 )
-from ksetsplus.transforms import induced_cohesion, lift_similarity
+from ksetsplus.transforms import induced_cohesion
+
+from oracles import lift_similarity
 
 from conftest import needs_cc, random_semimetric, random_similarity_dense
 

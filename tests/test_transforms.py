@@ -22,12 +22,12 @@ from ksetsplus.transforms import (
     C3_TOL,
     SemiCohesionMeasure,
     _dominance_minimum,
-    check_shift_lemma,
-    dual_distance,
     induced_cohesion,
-    lift_similarity,
     sigma_min,
 )
+
+import oracles
+from oracles import check_shift_lemma, dual_distance, lift_similarity
 
 from conftest import (
     brute_objective,
@@ -392,9 +392,9 @@ class TestShiftCheck:
 
     def test_a_wrong_lift_is_recorded_as_failures(self, monkeypatch):
         # The lift shifts by sigma + 1, so every probed relation is off.
-        lift = transforms.lift_similarity
+        lift = oracles.lift_similarity
         monkeypatch.setattr(
-            transforms, "lift_similarity", lambda g, sigma: lift(g, sigma + 1.0)
+            oracles, "lift_similarity", lambda g, sigma: lift(g, sigma + 1.0)
         )
         g = build_from_triples(3, [(0, 1, 1.0), (1, 2, -2.0)])
         report = check_shift_lemma(g, sigma_min(g) + 1.0, samples=30, rng_seed=3)
@@ -419,3 +419,14 @@ class TestRepr:
     def test_lifted_similarity(self):
         g = build_from_triples(2, [(0, 1, 1.0)])
         assert repr(lift_similarity(g, 2.5)) == "SemiCohesionMeasure(n=2, sigma_used=2.5)"
+
+
+def test_every_public_name_resolves():
+    import ksetsplus
+
+    assert len(set(ksetsplus.__all__)) == len(ksetsplus.__all__)
+    missing = [name for name in ksetsplus.__all__ if not hasattr(ksetsplus, name)]
+    assert missing == []
+    # The dual, the lift and the shift-lemma check are the tests' oracles.
+    for name in ("dual_distance", "lift_similarity", "ShiftReport", "check_shift_lemma"):
+        assert name not in ksetsplus.__all__ and not hasattr(transforms, name)

@@ -12,12 +12,7 @@ from ksetsplus.measure import (
     build_from_triples,
     from_dense,
 )
-from ksetsplus.transforms import (
-    SemiCohesionMeasure,
-    induced_cohesion,
-    lift_similarity,
-    sigma_min,
-)
+from ksetsplus.transforms import SemiCohesionMeasure, induced_cohesion, sigma_min
 from ksetsplus.verify import (
     STATEMENTS,
     ClusterReport,
@@ -25,6 +20,8 @@ from ksetsplus.verify import (
     is_cluster,
     pairwise_isolation_check,
 )
+
+from oracles import lift_similarity
 
 from conftest import (
     nonempty_subsets,
